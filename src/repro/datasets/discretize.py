@@ -7,6 +7,8 @@ partitioning).  This module implements it from scratch:
 * per gene, candidate cut points are boundary midpoints of the sorted values;
 * the cut minimizing class-information entropy is accepted iff its gain
   passes the MDL criterion, then both halves recurse;
+* ``EntropyDiscretizer`` fits blocks of genes at once (``_mdlp_block``),
+  with the same cut points as the per-gene :func:`mdlp_cut_points`;
 * genes with no accepted cut carry no class information and are dropped —
   Table 3's "Genes After Discretization" column counts the survivors;
 * every ``(gene, interval)`` pair becomes a boolean item; a sample expresses
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,6 +36,61 @@ def class_entropy(counts: np.ndarray) -> float:
         return 0.0
     probs = counts[counts > 0] / total
     return float(-(probs * np.log2(probs)).sum())
+
+
+# Genes fitted together by one pass of :func:`_mdlp_block`.  A pass holds
+# O(n_samples × _GENE_BLOCK × n_classes) float64s (the sort, the prefix
+# counts and the depth-0 scores), which bounds the fit's peak memory
+# whatever the gene count.
+_GENE_BLOCK = 512
+
+
+def _side_entropy(counts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Entropy (bits) of ranges holding ``sizes`` samples, ``counts[c]`` of
+    class ``c`` (class axis first).
+
+    The class terms are summed in class order by this loop, not by a numpy
+    reduction whose order depends on the array's shape, so the per-gene
+    reference and the block kernel score a cut to the same bits.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return -sum(
+            np.where(c > 0, (c / sizes) * np.log2(c / sizes), 0.0)
+            for c in counts
+        )
+
+
+def _cut_threshold(below, above):
+    """Threshold between sorted neighbours ``below < above`` (scalar or array).
+
+    The midpoint of two adjacent doubles can round up to ``above``; the
+    split ``value <= threshold`` would then disagree with the partition that
+    was scored, so ``below`` is used instead.
+    """
+    mid = (below + above) / 2.0
+    return np.where(mid < above, mid, below)
+
+
+def _mdl_accepts(
+    n: int,
+    parent_entropy: float,
+    weighted: float,
+    e_left: float,
+    e_right: float,
+    k: int,
+    k1: int,
+    k2: int,
+) -> bool:
+    """Fayyad & Irani's (1993) MDL acceptance test for the best cut of an
+    ``n``-sample range with ``k`` classes (``k1``/``k2`` on each side)."""
+    gain = parent_entropy - weighted
+    if gain <= 0:
+        return False
+    # MDL criterion: gain must exceed (log2(n-1) + delta) / n.
+    delta = math.log2(3**k - 2) - (
+        k * parent_entropy - k1 * e_left - k2 * e_right
+    )
+    return gain > (math.log2(n - 1) + delta) / n
 
 
 def _best_cut(
@@ -51,11 +108,12 @@ def _best_cut(
     sorted_values = values[order]
     sorted_labels = labels[order]
 
-    # Prefix class counts: counts[i] = distribution of the first i samples.
-    onehot = np.zeros((n, n_classes), dtype=np.float64)
-    onehot[np.arange(n), sorted_labels] = 1.0
-    prefix = np.cumsum(onehot, axis=0)
-    total = prefix[-1]
+    # Prefix class counts: prefix[c, i] = class-c count of the first i + 1
+    # samples.
+    onehot = np.zeros((n_classes, n), dtype=np.float64)
+    onehot[sorted_labels, np.arange(n)] = 1.0
+    prefix = np.cumsum(onehot, axis=1)
+    total = prefix[:, -1]
 
     # Candidate positions: between distinct adjacent values.
     distinct = sorted_values[1:] > sorted_values[:-1]
@@ -63,41 +121,29 @@ def _best_cut(
     if candidates.size == 0:
         return None
 
-    def side_entropy(counts: np.ndarray) -> np.ndarray:
-        sums = counts.sum(axis=1, keepdims=True)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            probs = np.where(sums > 0, counts / sums, 0.0)
-            logs = np.where(probs > 0, np.log2(probs), 0.0)
-        return -(probs * logs).sum(axis=1)
-
-    left = prefix[candidates - 1]
-    right = total[None, :] - left
+    left = prefix[:, candidates - 1]
+    right = total[:, None] - left
     n_left = candidates.astype(np.float64)
     n_right = n - n_left
-    e_left = side_entropy(left)
-    e_right = side_entropy(right)
+    e_left = _side_entropy(left, n_left)
+    e_right = _side_entropy(right, n_right)
     weighted = (n_left * e_left + n_right * e_right) / n
     best = int(np.argmin(weighted))
     pos = int(candidates[best])
 
-    parent_entropy = class_entropy(total)
-    gain = parent_entropy - weighted[best]
-    if gain <= 0:
+    if not _mdl_accepts(
+        n,
+        class_entropy(total),
+        weighted[best],
+        e_left[best],
+        e_right[best],
+        int((total > 0).sum()),
+        int((left[:, best] > 0).sum()),
+        int((right[:, best] > 0).sum()),
+    ):
         return None
-
-    # MDL criterion: gain must exceed (log2(n-1) + delta) / n.
-    k = int((total > 0).sum())
-    k1 = int((left[best] > 0).sum())
-    k2 = int((right[best] > 0).sum())
-    delta = math.log2(3**k - 2) - (
-        k * parent_entropy - k1 * e_left[best] - k2 * e_right[best]
-    )
-    threshold_gain = (math.log2(n - 1) + delta) / n
-    if gain <= threshold_gain:
-        return None
-
-    threshold = (sorted_values[pos - 1] + sorted_values[pos]) / 2.0
-    return threshold, pos
+    threshold = _cut_threshold(sorted_values[pos - 1], sorted_values[pos])
+    return float(threshold), pos
 
 
 def mdlp_cut_points(
@@ -105,7 +151,9 @@ def mdlp_cut_points(
 ) -> List[float]:
     """All accepted MDLP cut points for one gene, ascending.
 
-    An empty result means the gene is dropped by the discretizer.
+    An empty result means the gene is dropped by the discretizer.  This is
+    the per-gene recursion; :class:`EntropyDiscretizer` fits whole blocks of
+    genes with :func:`_mdlp_block`, which returns the same cuts.
     """
     values = np.asarray(values, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -123,6 +171,146 @@ def mdlp_cut_points(
 
     recurse(values, labels)
     return sorted(cuts)
+
+
+def _best_range_cuts(
+    prefix: np.ndarray,
+    distinct: np.ndarray,
+    gene: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+) -> Tuple[np.ndarray, ...]:
+    """Best cut of every sorted range ``[lo, hi)`` of ``gene``, in one flat
+    pass over all (range, candidate position) pairs.
+
+    Returns ``(gene, lo, hi, pos, weighted, e_left, e_right)`` for the ranges
+    that have a candidate, with the scores taken at ``pos``.
+    """
+    n_classes, _, n_genes = prefix.shape
+    width = hi - lo - 1
+    seg = np.repeat(np.arange(gene.size), width)
+    pos = np.arange(seg.size) - np.repeat(np.cumsum(width) - width, width)
+    pos += lo[seg] + 1
+    candidate = distinct[pos - 1, gene[seg]]
+    seg, pos = seg[candidate], pos[candidate]
+
+    # Range counts are prefix differences, gathered from the flat prefix.
+    counts = prefix.reshape(n_classes, -1)
+    g = gene[seg]
+    base = counts[:, lo[seg] * n_genes + g]
+    left = counts[:, pos * n_genes + g] - base
+    right = counts[:, hi[seg] * n_genes + g] - base - left
+    size = (hi - lo)[seg]
+    n_left = (pos - lo[seg]).astype(np.float64)
+    n_right = size - n_left
+    e_left = _side_entropy(left, n_left)
+    e_right = _side_entropy(right, n_right)
+    weighted = (n_left * e_left + n_right * e_right) / size
+
+    # First minimum per range: the stable sort keeps ascending positions
+    # among equal scores, as np.argmin does in _best_cut.
+    rank = np.lexsort((weighted, seg))
+    first = np.ones(rank.size, dtype=bool)
+    first[1:] = seg[rank[1:]] != seg[rank[:-1]]
+    best = rank[first]
+    ranges = seg[best]
+    return (
+        gene[ranges],
+        lo[ranges],
+        hi[ranges],
+        pos[best],
+        weighted[best],
+        e_left[best],
+        e_right[best],
+    )
+
+
+def _mdlp_block(
+    values: np.ndarray, labels: np.ndarray, n_classes: int
+) -> List[List[float]]:
+    """Ascending MDLP cut points of every column of ``values``
+    (samples × genes), equal to :func:`mdlp_cut_points` per column.
+
+    Every range the recursion visits is a contiguous slice of the column's
+    stable sort order (a cut falls between distinct neighbours and NaNs sort
+    last, so ``value <= threshold`` is exactly a sorted prefix).  The block
+    is therefore sorted once and each range's class counts are differences
+    of one prefix-count array.  Depth 0 scores every (position, gene) pair
+    densely; each deeper depth is one flat pass over the surviving ranges.
+    Only the MDL test of each range's best cut runs in Python.
+    """
+    n, n_genes = values.shape
+    cuts: List[List[float]] = [[] for _ in range(n_genes)]
+    if n < 2:
+        return cuts
+    order = np.argsort(values, axis=0, kind="mergesort")
+    ordered = np.take_along_axis(values, order, axis=0)
+    # prefix[c, i, g] = class-c count of the first i sorted samples of gene g.
+    prefix = np.zeros((n_classes, n + 1, n_genes))
+    np.cumsum(
+        labels[order] == np.arange(n_classes)[:, None, None],
+        axis=1,
+        out=prefix[:, 1:],
+    )
+    # distinct[i, g]: a cut may fall before sorted position i + 1 of gene g.
+    distinct = ordered[1:] > ordered[:-1]
+
+    # Depth 0: the whole column of every gene, scored densely.
+    left = prefix[:, 1:n]
+    n_left = np.arange(1, n, dtype=np.float64)[:, None]
+    n_right = n - n_left
+    e_left = _side_entropy(left, n_left)
+    e_right = _side_entropy(prefix[:, n:] - left, n_right)
+    weighted = (n_left * e_left + n_right * e_right) / n
+    weighted[~distinct] = np.inf
+    gene = np.flatnonzero(distinct.any(axis=0))
+    at = weighted[:, gene].argmin(axis=0)  # first minimum, as in _best_cut
+    pos = at + 1
+    lo = np.zeros(gene.size, dtype=np.intp)
+    hi = np.full(gene.size, n, dtype=np.intp)
+    scores = weighted[at, gene], e_left[at, gene], e_right[at, gene]
+
+    parent_entropies: Dict[Tuple[float, ...], float] = {}
+    while gene.size:
+        base = prefix[:, lo, gene]
+        total = prefix[:, hi, gene] - base
+        left = prefix[:, pos, gene] - base
+        # The MDL test of each range's best cut, in Python floats.
+        parent = []
+        for counts in map(tuple, total.T.tolist()):
+            if counts not in parent_entropies:
+                parent_entropies[counts] = class_entropy(np.asarray(counts))
+            parent.append(parent_entropies[counts])
+        accepted = [
+            i
+            for i, test in enumerate(
+                zip(
+                    (hi - lo).tolist(),
+                    parent,
+                    *(score.tolist() for score in scores),
+                    (total > 0).sum(axis=0).tolist(),
+                    (left > 0).sum(axis=0).tolist(),
+                    (total - left > 0).sum(axis=0).tolist(),
+                )
+            )
+            if _mdl_accepts(*test)
+        ]
+        gene, lo, hi = gene[accepted], lo[accepted], hi[accepted]
+        pos = pos[accepted]
+        thresholds = _cut_threshold(ordered[pos - 1, gene], ordered[pos, gene])
+        for j, threshold in zip(gene.tolist(), thresholds.tolist()):
+            cuts[j].append(threshold)
+        # Both halves of every accepted range recurse at the next depth.
+        gene, lo, hi, pos, *scores = _best_range_cuts(
+            prefix,
+            distinct,
+            np.concatenate([gene, gene]),
+            np.concatenate([lo, pos]),
+            np.concatenate([pos, hi]),
+        )
+    for gene_cuts in cuts:
+        gene_cuts.sort()
+    return cuts
 
 
 @dataclass(frozen=True)
@@ -153,6 +341,25 @@ class GenePartition:
         return f"{self.gene_name}@({lo},{hi}]"
 
 
+def _fit_columns(
+    columns: np.ndarray,
+    first_gene: int,
+    gene_names: Sequence[str],
+    labels: np.ndarray,
+    n_classes: int,
+) -> List[GenePartition]:
+    """Partitions of the kept genes among ``columns`` (genes ``first_gene``
+    onwards), fitted :data:`_GENE_BLOCK` genes per kernel pass."""
+    partitions: List[GenePartition] = []
+    for start in range(0, columns.shape[1], _GENE_BLOCK):
+        block = columns[:, start : start + _GENE_BLOCK]
+        for offset, cuts in enumerate(_mdlp_block(block, labels, n_classes)):
+            if cuts:
+                j = first_gene + start + offset
+                partitions.append(GenePartition(j, gene_names[j], tuple(cuts)))
+    return partitions
+
+
 class EntropyDiscretizer:
     """Fit MDLP partitions on training data; transform any sample to items.
 
@@ -167,6 +374,7 @@ class EntropyDiscretizer:
         self.item_names: Tuple[str, ...] = ()
         self._item_base: List[int] = []
         self._class_names: Tuple[str, ...] = ()
+        self._n_genes = 0
         self._fitted = False
 
     @property
@@ -184,15 +392,10 @@ class EntropyDiscretizer:
 
     def fit(self, data: ExpressionMatrix) -> "EntropyDiscretizer":
         """Learn cut points per gene from labeled training measurements."""
-        labels = data.label_array
-        partitions: List[GenePartition] = []
-        for j in range(data.n_genes):
-            cuts = mdlp_cut_points(data.values[:, j], labels, data.n_classes)
-            if cuts:
-                partitions.append(
-                    GenePartition(j, data.gene_names[j], tuple(cuts))
-                )
-        return self._finish_fit(partitions, data.class_names)
+        partitions = _fit_columns(
+            data.values, 0, data.gene_names, data.label_array, data.n_classes
+        )
+        return self._finish_fit(partitions, data.class_names, data.n_genes)
 
     def fit_streaming(
         self,
@@ -208,7 +411,7 @@ class EntropyDiscretizer:
         never materialized: peak memory is O(n_samples × gene_block +
         chunk_rows × n_genes).  Cut points are **bit-identical** to
         :meth:`fit` on the concatenated matrix: each gene's column is
-        reassembled exactly and run through the same MDLP recursion.
+        reassembled exactly and run through the same block kernel.
 
         Chunks must share gene names, and each chunk's class vocabulary must
         be a prefix-consistent extension of the previous one (what
@@ -239,7 +442,7 @@ class EntropyDiscretizer:
         n_genes = len(gene_names)
 
         # Gene-block passes: reassemble a few full columns at a time and run
-        # the exact in-memory MDLP recursion on each.
+        # the in-memory block kernel on them.
         partitions: List[GenePartition] = []
         for start in range(0, n_genes, gene_block):
             stop = min(start + gene_block, n_genes)
@@ -250,22 +453,19 @@ class EntropyDiscretizer:
                 raise DatasetError(
                     "chunk stream changed size between passes"
                 )
-            for j in range(start, stop):
-                cuts = mdlp_cut_points(
-                    columns[:, j - start], labels, n_classes
-                )
-                if cuts:
-                    partitions.append(
-                        GenePartition(j, gene_names[j], tuple(cuts))
-                    )
-        return self._finish_fit(partitions, class_names)
+            partitions.extend(
+                _fit_columns(columns, start, gene_names, labels, n_classes)
+            )
+        return self._finish_fit(partitions, class_names, n_genes)
 
     def _finish_fit(
         self,
         partitions: List[GenePartition],
         class_names: Tuple[str, ...],
+        n_genes: int,
     ) -> "EntropyDiscretizer":
         self.partitions = partitions
+        self._n_genes = n_genes
         names: List[str] = []
         bases: List[int] = []
         for part in partitions:
@@ -281,16 +481,27 @@ class EntropyDiscretizer:
         if not self._fitted:
             raise RuntimeError("EntropyDiscretizer.fit must be called first")
 
+    def _fitted_rows(self, values: np.ndarray) -> np.ndarray:
+        """``values`` as a 2-D float batch of the fitted width."""
+        self._require_fitted()
+        values = np.atleast_2d(np.asarray(values, dtype=np.float64))
+        if values.shape[1] != self._n_genes:
+            raise DatasetError(
+                f"expected rows of {self._n_genes} gene values (the fitted "
+                f"width), got {values.shape[1]}"
+            )
+        return values
+
     def transform_values(self, values: np.ndarray) -> List[frozenset]:
         """Map raw measurement rows to expressed item sets.
 
         Vectorized: one ``np.searchsorted`` per kept gene over the whole
         batch instead of a Python loop per row.  Bit-identical to
         :meth:`_transform_values_scalar` (the pre-vectorization reference,
-        kept for the equivalence tests).
+        kept for the equivalence tests).  Rows must be as wide as the fitted
+        data; any other width raises :class:`DatasetError`.
         """
-        self._require_fitted()
-        values = np.atleast_2d(np.asarray(values, dtype=np.float64))
+        values = self._fitted_rows(values)
         n_rows = values.shape[0]
         if not self.partitions:
             return [frozenset()] * n_rows
@@ -306,8 +517,7 @@ class EntropyDiscretizer:
 
     def _transform_values_scalar(self, values: np.ndarray) -> List[frozenset]:
         """Reference per-row implementation of :meth:`transform_values`."""
-        self._require_fitted()
-        values = np.atleast_2d(np.asarray(values, dtype=np.float64))
+        values = self._fitted_rows(values)
         out: List[frozenset] = []
         for row in values:
             items = []

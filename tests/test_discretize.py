@@ -3,13 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.datasets.dataset import ExpressionMatrix
+from repro.datasets import discretize
+from repro.datasets.dataset import DatasetError, ExpressionMatrix
 from repro.datasets.discretize import (
     EntropyDiscretizer,
     GenePartition,
     class_entropy,
     mdlp_cut_points,
 )
+from repro.datasets.profiles import scaled
+from repro.datasets.splits import given_training_split
+from repro.datasets.synthetic import generate_expression_data
 
 
 class TestEntropy:
@@ -59,6 +63,17 @@ class TestMdlpCutPoints:
 
     def test_single_sample(self):
         assert mdlp_cut_points([1.0], [0], 2) == []
+
+    def test_threshold_between_adjacent_doubles(self):
+        # The midpoint of two adjacent doubles rounds up to the larger one;
+        # the cut must still separate them (it used to recurse forever).
+        values = [0.6, 0.6000000000000001]
+        assert mdlp_cut_points(values, [0, 1], 2) == [0.6]
+        data = _matrix(np.array(values)[:, None], [0, 1])
+        disc = EntropyDiscretizer().fit(data)
+        assert disc.partitions[0].cuts == (0.6,)
+        low, high = disc.transform(data).samples
+        assert low != high
 
 
 class TestGenePartition:
@@ -144,3 +159,139 @@ class TestEntropyDiscretizer:
         data = _matrix(col[:, None], labels, names=("MYC",))
         disc = EntropyDiscretizer().fit(data)
         assert all(name.startswith("MYC@") for name in disc.item_names)
+
+    def test_transform_rejects_wider_rows(self):
+        disc = EntropyDiscretizer().fit(_separable(n_genes=2))
+        for transform in (disc.transform_values, disc._transform_values_scalar):
+            with pytest.raises(DatasetError, match="2 gene values.*got 3"):
+                transform(np.zeros((4, 3)))
+
+    def test_transform_rejects_narrower_rows(self):
+        disc = EntropyDiscretizer().fit(_separable(n_genes=2))
+        for transform in (disc.transform_values, disc._transform_values_scalar):
+            with pytest.raises(DatasetError, match="2 gene values.*got 1"):
+                transform(np.zeros(1))
+
+
+def _separable(n_genes):
+    labels = [0] * 6 + [1] * 6
+    column = np.array([0.0] * 6 + [1.0] * 6)
+    return _matrix(np.tile(column[:, None], (1, n_genes)), labels)
+
+
+def _per_gene_cuts(values, labels, n_classes):
+    """Reference: the per-gene MDLP recursion on every column."""
+    return [
+        tuple(mdlp_cut_points(values[:, j], labels, n_classes))
+        for j in range(values.shape[1])
+    ]
+
+
+def _block_cuts(values, labels, n_classes):
+    data = ExpressionMatrix(
+        gene_names=tuple(f"g{j}" for j in range(values.shape[1])),
+        values=values,
+        labels=tuple(labels.tolist()),
+        class_names=tuple(f"c{k}" for k in range(n_classes)),
+    )
+    return _fitted_cuts(EntropyDiscretizer().fit(data), data.n_genes)
+
+
+def _fitted_cuts(disc, n_genes):
+    cuts = [()] * n_genes
+    for part in disc.partitions:
+        cuts[part.gene_index] = part.cuts
+    return cuts
+
+
+def _random_case(rng, n_genes):
+    n = int(rng.integers(1, 81))
+    n_classes = int(rng.integers(2, 5))
+    labels = rng.integers(0, n_classes, n)
+    if rng.random() < 0.15:
+        labels[:] = rng.integers(0, n_classes)  # single-class labels
+    # Class-shifted columns rounded to 0-2 decimals: informative genes with
+    # heavy ties, so cuts land between tie groups at every depth.
+    shift = rng.normal(0, 1.5, n_genes) * (rng.random(n_genes) < 0.6)
+    values = rng.normal(0, 1, (n, n_genes)) + labels[:, None] * shift
+    values = np.round(values, int(rng.integers(0, 3)))
+    values[rng.random((n, n_genes)) < rng.choice([0.0, 0.1])] = np.nan
+    values[:, rng.random(n_genes) < 0.1] = 2.5  # constant columns
+    return values, labels, n_classes
+
+
+class TestBlockKernelMatchesPerGene:
+    """The block kernel behind ``fit`` against the per-gene recursion,
+    compared with exact ``==`` on every cut tuple."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_matrices(self, seed, monkeypatch):
+        # A 7-gene kernel block puts block edges inside every matrix.
+        monkeypatch.setattr(discretize, "_GENE_BLOCK", 7)
+        rng = np.random.default_rng(seed)
+        for _ in range(25):
+            values, labels, n_classes = _random_case(
+                rng, int(rng.integers(1, 30))
+            )
+            assert _block_cuts(values, labels, n_classes) == _per_gene_cuts(
+                values, labels, n_classes
+            )
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_label_runs(self, seed):
+        # Classes in runs along the value axis nest several accepted cuts
+        # per gene, with exact score ties below depth 0 where the first
+        # minimum decides the cut.
+        rng = np.random.default_rng(seed)
+        for _ in range(10):
+            n_classes = int(rng.integers(2, 4))
+            runs = rng.integers(1, 8, 12)
+            labels = np.repeat(rng.integers(0, n_classes, runs.size), runs)
+            n = labels.size
+            noise = rng.choice([0.1, 2.0, 5.0], 40)
+            values = np.round(
+                np.arange(n)[:, None] + rng.normal(0, 1, (n, 40)) * noise, 0
+            )
+            assert _block_cuts(values, labels, n_classes) == _per_gene_cuts(
+                values, labels, n_classes
+            )
+
+    def test_first_minimum_below_depth_zero(self):
+        # Inside (25.5, +inf) a cut just before the lone class-2 sample and
+        # one just after it score the same; the lower one must win.
+        labels = np.array(
+            [1] * 11 + [2] * 10 + [1] * 5 + [0] * 7 + [2] + [1] * 7
+        )
+        values = np.arange(labels.size, dtype=np.float64)[:, None]
+        expected = [(10.5, 20.5, 25.5, 32.5)]
+        assert _per_gene_cuts(values, labels, 3) == expected
+        assert _block_cuts(values, labels, 3) == expected
+
+    def test_cuts_are_found(self):
+        # Guards the differential test against comparing empty results.
+        rng = np.random.default_rng(0)
+        found = 0
+        for _ in range(25):
+            values, labels, n_classes = _random_case(rng, 20)
+            found += sum(map(len, _per_gene_cuts(values, labels, n_classes)))
+        assert found > 50
+
+    def test_gene_count_not_a_multiple_of_block(self):
+        rng = np.random.default_rng(1)
+        n_genes = 2 * discretize._GENE_BLOCK + 3
+        labels = rng.integers(0, 2, 24)
+        values = np.round(rng.normal(size=(24, n_genes)) + labels[:, None], 1)
+        cuts = _block_cuts(values, labels, 2)
+        assert any(cuts)
+        assert cuts == _per_gene_cuts(values, labels, 2)
+
+    @pytest.mark.parametrize("name", ["ALL", "LC", "PC", "OC"])
+    def test_scaled_profiles(self, name):
+        prof = scaled(name)
+        data = generate_expression_data(prof, seed=0)
+        split = given_training_split(data.label_array, prof.given_training)
+        train = data.subset(split.train_indices)
+        args = (train.values, train.label_array, train.n_classes)
+        cuts = _block_cuts(*args)
+        assert any(cuts)
+        assert cuts == _per_gene_cuts(*args)

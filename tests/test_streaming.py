@@ -24,6 +24,7 @@ from repro.core.classifier import BSTClassifier
 from repro.core.estimator import NotFittedError
 from repro.core.fast import FastBSTCEvaluator, clear_evaluator_cache, get_evaluator
 from repro.core.plan import ARENA_FIELDS, recompile_delta
+from repro.datasets import discretize
 from repro.datasets.dataset import (
     DatasetError,
     ExpressionMatrix,
@@ -135,19 +136,43 @@ class TestChunkedIngestion:
             list(iter_expression_tsv(path, chunk_rows=4))
 
 
+TALL_GENES = 70
+
+
 class TestStreamingDiscretizerFit:
     @pytest.fixture
     def tall_tsv(self, tmp_path):
+        data = _expression(n_samples=40, n_genes=TALL_GENES, seed=7)
+        # Class signal in every third gene, so genes are kept on both sides
+        # of every block edge.
+        values = data.values.copy()
+        values[:, ::3] += 1.5 * np.asarray(data.labels)[:, None]
         path = tmp_path / "tall.tsv"
-        save_expression_tsv(_expression(n_samples=40, n_genes=6, seed=7), path)
+        save_expression_tsv(
+            ExpressionMatrix(
+                gene_names=data.gene_names,
+                values=values,
+                labels=data.labels,
+                class_names=data.class_names,
+                sample_names=data.sample_names,
+            ),
+            path,
+        )
         return path
 
-    def test_fit_streaming_matches_fit(self, tall_tsv):
+    # Streaming passes of 1, 7 and 64 genes cut the columns at other edges
+    # than the 5-gene kernel blocks of the in-memory fit; TALL_GENES + 1 is
+    # one pass.
+    @pytest.mark.parametrize("gene_block", [1, 7, 64, TALL_GENES + 1])
+    def test_fit_streaming_matches_fit(self, tall_tsv, gene_block, monkeypatch):
+        monkeypatch.setattr(discretize, "_GENE_BLOCK", 5)
         whole = load_expression_tsv(tall_tsv)
         cold = EntropyDiscretizer().fit(whole)
         streamed = EntropyDiscretizer().fit_streaming(
-            lambda: iter_expression_tsv(tall_tsv, chunk_rows=7), gene_block=2
+            lambda: iter_expression_tsv(tall_tsv, chunk_rows=7),
+            gene_block=gene_block,
         )
+        assert cold.n_kept_genes > 5
         assert streamed.item_names == cold.item_names
         assert [(p.gene_index, p.cuts) for p in streamed.partitions] == [
             (p.gene_index, p.cuts) for p in cold.partitions
