@@ -43,7 +43,18 @@ hostile or broken clients: a body larger than ``max_body_bytes`` is
 refused with 413 (:class:`~repro.errors.RequestTooLarge`) before a byte of
 it is read, and a client that stalls mid-body past ``read_timeout``
 seconds gets 408 (:class:`~repro.errors.RequestTimeout`) instead of
-pinning a worker thread forever.
+pinning a worker thread forever.  A ``Content-Length`` that is not a
+non-negative decimal integer is refused with 400 and the connection
+dropped, since the request's framing is unknown.
+
+Every final response — success, error envelope, admin plane, and the
+protocol errors :mod:`http.server` raises itself (unsupported method,
+malformed request line) — leaves through :meth:`_GatewayHandler._send_json`
+as one socket write on a ``TCP_NODELAY`` connection.  Head and body in
+two writes let Nagle's algorithm hold the body back until the client
+ACKs the head, which a delayed-ACK client does only after ~40 ms, so
+every back-to-back keep-alive request stalled (see ``docs/GATEWAY.md``,
+"Response write path").
 """
 
 from __future__ import annotations
@@ -133,6 +144,12 @@ class _GatewayHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-gateway"
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY on every accepted connection.  Each response is one
+    # write (see _send_json), so this sends no extra small packets; it
+    # stops the tail segment of a multi-segment response waiting on an ACK.
+    # The wfile stays unbuffered: a buffered one would hold the interim
+    # "100 Continue" that handle_expect_100 writes.
+    disable_nagle_algorithm = True
 
     # ------------------------------------------------------------------
     # Plumbing
@@ -161,14 +178,47 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         payload: Dict[str, Any],
         extra_headers: Tuple[Tuple[str, str], ...] = (),
     ) -> None:
+        """Send one final response: status line, headers and body in a
+        single socket write."""
         data = json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", _JSON)
         self.send_header("Content-Length", str(len(data)))
         for name, value in extra_headers:
             self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(data)
+        if self.command == "HEAD":
+            data = b""  # a HEAD answer is the head alone
+        try:
+            if self.request_version == "HTTP/0.9":
+                # No status line or headers exist in HTTP/0.9.
+                self.wfile.write(data)
+            else:
+                # Instead of end_headers() + a second write for the body,
+                # which would let Nagle hold the body until the head is
+                # ACKed, flush the blank line and body with the head.
+                self._headers_buffer.append(b"\r\n" + data)
+                self.flush_headers()
+        except (BrokenPipeError, ConnectionResetError):
+            # The client hung up; there is nobody left to tell.
+            self.close_connection = True
+
+    def send_error(
+        self,
+        code: int,
+        message: Optional[str] = None,
+        explain: Optional[str] = None,
+    ) -> None:
+        """Protocol errors raised by http.server itself (unsupported
+        method, malformed request line, oversized headers) as the JSON
+        envelope instead of the stdlib's HTML page."""
+        status = int(code)
+        if message is None:
+            message = self.responses.get(status, ("",))[0]
+        self._send_json(
+            status,
+            {"error": {"type": "HTTPError", "message": message, "status": status}},
+            (("Connection", "close"),),
+        )
 
     def _send_error_json(self, error: BaseException) -> None:
         headers: Tuple[Tuple[str, str], ...] = ()
@@ -178,7 +228,7 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         self._send_json(http_status(error), error_body(error), headers)
 
     def _read_body(self) -> Dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
+        length = self._content_length()
         max_body = getattr(self.server, "max_body_bytes", None)
         if max_body is not None and length > max_body:
             # Refused before reading: the oversized payload never gets
@@ -203,6 +253,23 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         if not isinstance(body, dict):
             raise QueryError("request body must be a JSON object")
         return body
+
+    def _content_length(self) -> int:
+        """The request's ``Content-Length`` (0 when absent), parsed
+        strictly: ``int()`` would accept ``-1`` (read to EOF, past the
+        body ceiling) and raise ValueError (a 500) on garbage."""
+        raw = self.headers.get("Content-Length")
+        if raw is None:
+            return 0
+        text = raw.strip()
+        if not (text.isascii() and text.isdigit()):
+            # The body's extent is unknown, so nothing after the headers
+            # on this connection can be framed.
+            self.close_connection = True
+            raise QueryError(
+                f"Content-Length {raw!r} is not a non-negative decimal integer"
+            )
+        return int(text)
 
     # ------------------------------------------------------------------
     # Routing
@@ -297,12 +364,13 @@ class _GatewayHandler(BaseHTTPRequestHandler):
             query = _parse_query(body)
             tenant = body.get("tenant")
             deadline_ms = _optional_number(body, "deadline_ms")
-            values = self.registry.classification_values(
+            # The answering slot's info, not a fresh model_info() lookup:
+            # a deploy landing after the answer must not relabel it.
+            values, info = self.registry._classify(
                 name, query, tenant=tenant, deadline_ms=deadline_ms
             )
         except ReproError as exc:
             return self._send_error_json(exc)
-        info = self.registry.model_info(name)
         label = int(np.argmax(values))
         self._send_json(
             200,
@@ -334,13 +402,11 @@ class _GatewayHandler(BaseHTTPRequestHandler):
             limit = _optional_number(body, "limit", int)
             if limit is not None:
                 kwargs["limit"] = limit
-            explanation = self.registry.explain(
+            explanation, info, item_names = self.registry._explain(
                 name, query, tenant=tenant, **kwargs
             )
         except ReproError as exc:
             return self._send_error_json(exc)
-        info = self.registry.model_info(name)
-        item_names = self.registry.item_names(name)
         names = list(item_names) if item_names else None
         self._send_json(
             200,

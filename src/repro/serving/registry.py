@@ -122,6 +122,11 @@ class _Slot:
             self.pool.close()
 
 
+def _item_names(slot: _Slot) -> Tuple[str, ...]:
+    dataset = getattr(slot.classifier, "dataset", None)
+    return tuple(getattr(dataset, "item_names", ()) or ())
+
+
 class ModelRegistry:
     """Serve many named models concurrently, with zero-downtime redeploys.
 
@@ -390,8 +395,7 @@ class ModelRegistry:
 
     def item_names(self, name: str) -> Tuple[str, ...]:
         """The named model's gene vocabulary (empty when unavailable)."""
-        dataset = getattr(self._slot(name).classifier, "dataset", None)
-        return tuple(getattr(dataset, "item_names", ()) or ())
+        return _item_names(self._slot(name))
 
     @property
     def counters(self) -> EngineCounters:
@@ -449,14 +453,31 @@ class ModelRegistry:
         the slot service's own shedding/breaker/deadline machinery.  A
         request that races a hot swap is retried against the new version.
         """
+        return self._classify(
+            name, query, tenant=tenant, timeout=timeout, deadline_ms=deadline_ms
+        )[0]
+
+    def _classify(
+        self,
+        name: str,
+        query: Any,
+        *,
+        tenant: Optional[str] = None,
+        timeout: Optional[float] = None,
+        deadline_ms: Optional[float] = None,
+    ) -> Tuple[np.ndarray, ModelInfo]:
+        """:meth:`classification_values` plus the :class:`ModelInfo` of the
+        slot that answered.  A later :meth:`model_info` call could already
+        see a replacement deployed after the answer."""
         with self._admit(tenant):
             self._counters.increment("registry_requests")
             while True:
                 slot = self._slot(name)
                 try:
-                    return slot.service.classification_values(
+                    values = slot.service.classification_values(
                         query, timeout, deadline_ms=deadline_ms
                     )
+                    return values, slot.info
                 except ServiceClosed:
                     # Either the registry/slot went away (the re-lookup
                     # raises the right error) or we lost the race with a
@@ -496,6 +517,18 @@ class ModelRegistry:
         without training samples, baseline models — raise
         :class:`~repro.errors.NotSupportedError`.
         """
+        return self._explain(name, query, tenant=tenant, **kwargs)[0]
+
+    def _explain(
+        self,
+        name: str,
+        query: Any,
+        *,
+        tenant: Optional[str] = None,
+        **kwargs: Any,
+    ) -> Tuple[Any, ModelInfo, Tuple[str, ...]]:
+        """:meth:`explain` plus the answering slot's :class:`ModelInfo` and
+        gene vocabulary, read from the same slot as the explanation."""
         with self._admit(tenant):
             slot = self._slot(name)
             if not slot.info.supports_explain:
@@ -505,7 +538,8 @@ class ModelRegistry:
                     " training samples"
                 )
             self._counters.increment("registry_explains")
-            return slot.classifier.explain(query, **kwargs)
+            explanation = slot.classifier.explain(query, **kwargs)
+            return explanation, slot.info, _item_names(slot)
 
     # ------------------------------------------------------------------
     # Tenancy

@@ -1,6 +1,9 @@
 """HTTP gateway tests: a live stdlib server against a live registry."""
 
+import errno
+import http.client
 import json
+import socket
 import urllib.error
 import urllib.request
 
@@ -10,6 +13,7 @@ import pytest
 from repro.core.classifier import BSTClassifier
 from repro.evaluation.timing import EngineCounters
 from repro.serving import GatewayServer, ModelRegistry, ServeConfig
+from repro.serving.http import _GatewayHandler
 
 Q_ITEMS = [0, 3, 4]
 
@@ -41,6 +45,28 @@ def _request(url, body=None, headers=None):
             return response.status, json.loads(response.read())
     except urllib.error.HTTPError as error:
         return error.code, json.loads(error.read())
+
+
+def _raw_exchange(server, request, timeout=5.0):
+    """Send raw request bytes on a fresh socket; read until the server
+    closes.  The socket timeout bounds the wait, so a gateway that hangs
+    fails the test instead of stalling it."""
+    with socket.create_connection(
+        (server.host, server.port), timeout=timeout
+    ) as conn:
+        conn.sendall(request)
+        chunks = []
+        while True:
+            chunk = conn.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+def _split_response(raw):
+    """(status, parsed-json body) of one raw HTTP/1.x response."""
+    head, _, body = raw.partition(b"\r\n\r\n")
+    return int(head.split(b" ")[1]), json.loads(body)
 
 
 class TestRoutes:
@@ -179,6 +205,264 @@ class TestErrorMapping:
             {"items": Q_ITEMS, "tenant": "t"},
         )
         assert status == 200
+
+
+class TestRequestFraming:
+    """A Content-Length that is not a non-negative decimal integer is a
+    400 QueryError that closes the connection, answered at once."""
+
+    @pytest.fixture
+    def small_gateway(self, example):
+        registry = ModelRegistry(counters=EngineCounters())
+        registry.deploy_model("mem", BSTClassifier().fit(example))
+        # read_timeout far above the client's 5 s socket timeout: a
+        # gateway that waits for more body fails the test.
+        server = GatewayServer(registry, max_body_bytes=64, read_timeout=60.0)
+        with server:
+            yield server
+        registry.close()
+
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_bad_content_length_is_400(self, small_gateway, length):
+        raw = _raw_exchange(
+            small_gateway,
+            b"POST /v1/models/mem:predict HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Type: application/json\r\n"
+            + f"Content-Length: {length}\r\n\r\n".encode()
+            + b"x" * 500,
+        )
+        status, payload = _split_response(raw)
+        assert status == 400
+        assert payload["error"]["type"] == "QueryError"
+        assert "Content-Length" in payload["error"]["message"]
+
+
+class TestProtocolErrors:
+    """Errors http.server raises itself come back as the JSON envelope."""
+
+    def test_unsupported_method_is_json_501(self, gateway):
+        conn = http.client.HTTPConnection(gateway.host, gateway.port, timeout=10)
+        try:
+            conn.request("PUT", "/v1/models", body=b"{}")
+            response = conn.getresponse()
+            payload = json.loads(response.read())
+        finally:
+            conn.close()
+        assert response.status == 501
+        assert response.getheader("Content-Type") == "application/json"
+        assert payload["error"] == {
+            "type": "HTTPError",
+            "message": "Unsupported method ('PUT')",
+            "status": 501,
+        }
+
+    def test_head_error_has_json_head_and_no_body(self, gateway):
+        raw = _raw_exchange(gateway, b"HEAD /health HTTP/1.1\r\nHost: t\r\n\r\n")
+        head, separator, body = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 501 ")
+        assert b"Content-Type: application/json" in head
+        assert separator and body == b""
+
+    def test_malformed_request_line_is_json_400(self, gateway):
+        raw = _raw_exchange(gateway, b"GET /health extra HTTP/1.1\r\n\r\n")
+        status, payload = _split_response(raw)
+        assert status == 400
+        assert payload["error"]["type"] == "HTTPError"
+        assert payload["error"]["status"] == 400
+        assert payload["error"]["message"].startswith("Bad request syntax")
+
+    def test_versionless_request_gets_json_body(self, gateway):
+        # HTTP/0.9 has no status line or headers: the body is all there is.
+        raw = _raw_exchange(gateway, b"POST /v1/models\r\n")
+        payload = json.loads(raw)
+        assert payload["error"]["type"] == "HTTPError"
+        assert payload["error"]["status"] == 400
+
+
+class TestAnsweringVersion:
+    """A deploy that lands after the answer must not relabel it: the
+    response names the version of the slot that computed it."""
+
+    def test_predict_names_the_answering_version(
+        self, tmp_path, example, monkeypatch
+    ):
+        artifact = BSTClassifier().fit(example).save(tmp_path / "m.npz")
+        registry = ModelRegistry(counters=EngineCounters())
+        registry.deploy("exp", artifact)
+        service = registry._slot("exp").service
+        answer = service.classification_values
+
+        def answer_then_redeploy(*args, **kwargs):
+            values = answer(*args, **kwargs)
+            registry.deploy("exp", artifact)
+            return values
+
+        monkeypatch.setattr(service, "classification_values", answer_then_redeploy)
+        with GatewayServer(registry) as server:
+            status, payload = _request(
+                f"{server.url}/v1/models/exp:predict", {"items": Q_ITEMS}
+            )
+            current = registry.model_info("exp").version
+        registry.close()
+        assert status == 200
+        assert current == 2
+        assert payload["version"] == 1
+
+    def test_explain_names_the_answering_version(self, example, monkeypatch):
+        clf = BSTClassifier().fit(example)
+        registry = ModelRegistry(counters=EngineCounters())
+        registry.deploy_model("mem", clf)
+        explain = clf.explain
+
+        def explain_then_redeploy(*args, **kwargs):
+            explanation = explain(*args, **kwargs)
+            registry.deploy_model("mem", BSTClassifier().fit(example))
+            return explanation
+
+        monkeypatch.setattr(clf, "explain", explain_then_redeploy)
+        with GatewayServer(registry) as server:
+            status, payload = _request(
+                f"{server.url}/v1/models/mem:explain", {"items": Q_ITEMS}
+            )
+            current = registry.model_info("mem").version
+        registry.close()
+        assert status == 200
+        assert current == 2
+        assert payload["version"] == 1
+
+
+class _RecordingWriter:
+    """A handler ``wfile`` proxy that logs each write before passing it
+    on; the gateway's wfile is unbuffered, so one write is one sendall."""
+
+    def __init__(self, inner, writes):
+        self._inner = inner
+        self._writes = writes
+
+    def write(self, data):
+        self._writes.append(bytes(data))
+        return self._inner.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+@pytest.fixture
+def write_spy(monkeypatch):
+    """One record per accepted connection: its TCP_NODELAY option and
+    every write the handler made to it."""
+    connections = []
+    setup = _GatewayHandler.setup
+
+    def spying_setup(handler):
+        setup(handler)
+        record = {
+            "nodelay": handler.connection.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY
+            ),
+            "writes": [],
+        }
+        handler.wfile = _RecordingWriter(handler.wfile, record["writes"])
+        connections.append(record)
+
+    monkeypatch.setattr(_GatewayHandler, "setup", spying_setup)
+    return connections
+
+
+class TestWritePath:
+    """Each final response is one write on a TCP_NODELAY socket.  Head and
+    body in two writes let Nagle hold the body until the client's delayed
+    ACK of the head, stalling every keep-alive request by ~40 ms."""
+
+    def test_each_response_is_one_write_on_a_nodelay_socket(
+        self, gateway, write_spy
+    ):
+        predict = ("POST", "/v1/models/exp:predict", {"items": Q_ITEMS})
+        requests = [predict] * 5 + [
+            ("GET", "/health", None),
+            ("GET", "/nope", None),
+            ("POST", "/v1/models/exp:predict", {"items": "zero"}),
+        ]
+        statuses, bodies = [], []
+        conn = http.client.HTTPConnection(gateway.host, gateway.port, timeout=10)
+        try:
+            for method, path, body in requests:
+                conn.request(
+                    method,
+                    path,
+                    body=json.dumps(body).encode() if body else None,
+                    headers={"Content-Type": "application/json"},
+                )
+                response = conn.getresponse()
+                statuses.append(response.status)
+                bodies.append(response.read())
+        finally:
+            conn.close()
+        assert statuses == [200] * 6 + [404, 400]
+        assert len(write_spy) == 1  # every request reused one connection
+        (record,) = write_spy
+        assert record["nodelay"] != 0
+        writes = record["writes"]
+        assert len(writes) == len(requests)
+        for write, body in zip(writes, bodies):
+            head, separator, rest = write.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 ")
+            assert separator
+            assert rest == body
+            json.loads(body)
+
+    def test_expect_100_continue_gets_interim_before_body(
+        self, gateway, write_spy
+    ):
+        body = json.dumps({"items": Q_ITEMS}).encode()
+        with socket.create_connection(
+            (gateway.host, gateway.port), timeout=5.0
+        ) as conn:
+            conn.sendall(
+                b"POST /v1/models/exp:predict HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Type: application/json\r\n"
+                b"Expect: 100-continue\r\n"
+                + f"Content-Length: {len(body)}\r\n\r\n".encode()
+            )
+            # The body is held back until the interim answer arrives; a
+            # gateway that buffers it times this recv out.
+            interim = b""
+            while not interim.endswith(b"\r\n\r\n"):
+                chunk = conn.recv(65536)
+                assert chunk, "connection closed before 100 Continue"
+                interim += chunk
+            assert interim.startswith(b"HTTP/1.1 100 ")
+            conn.sendall(body)
+            response = http.client.HTTPResponse(conn)
+            response.begin()
+            payload = json.loads(response.read())
+        assert response.status == 200
+        assert payload["version"] == 1
+        (record,) = write_spy
+        assert len(record["writes"]) == 2  # interim + one final response
+
+    def test_hung_up_client_ends_the_connection_quietly(
+        self, gateway, monkeypatch, capfd
+    ):
+        class HungUpWriter(_RecordingWriter):
+            def write(self, data):
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        setup = _GatewayHandler.setup
+
+        def hung_up_setup(handler):
+            setup(handler)
+            handler.wfile = HungUpWriter(handler.wfile, [])
+
+        monkeypatch.setattr(_GatewayHandler, "setup", hung_up_setup)
+        raw = _raw_exchange(
+            gateway,
+            b"GET /v1/models HTTP/1.1\r\nHost: test\r\n\r\n",
+        )
+        # Nothing was written, the connection closed, and the failed write
+        # did not re-enter the error path (whose traceback lands on stderr).
+        assert raw == b""
+        assert "Traceback" not in capfd.readouterr().err
 
 
 class TestLifecycle:
