@@ -369,7 +369,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-wait-ms",
         type=float,
         default=2.0,
-        help="how long an open batch waits for stragglers (default: 2.0)",
+        help="how long an open batch waits for stragglers; opens only when"
+        " requests are already queued (default: 2.0)",
     )
     serve.add_argument(
         "--deadline-ms",
@@ -493,7 +494,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-wait-ms",
         type=float,
         default=1.0,
-        help="how long an open batch waits for stragglers (default: 1.0)",
+        help="how long an open batch waits for stragglers; opens only when"
+        " requests are already queued (default: 1.0)",
     )
     bench.add_argument(
         "--query-items",

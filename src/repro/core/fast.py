@@ -22,7 +22,10 @@ Two kernel paths share this file:
   structure-of-arrays arena (:mod:`repro.core.plan`) with fused pair
   weights, downcast dtypes, duplicate-outside-row culling, and a
   per-query sparse matmul restriction — sparse serving queries only pay
-  for their own expressed genes;
+  for their own expressed genes.  Its cell reduction runs over a per-class
+  :class:`~repro.core.plan.CellStream` derived once, on the first batched
+  query, so a query costs one gather, one segment reduction and one
+  ``bincount``;
 * the **legacy tables** path (``compile_plan=False``): the original
   :class:`_ClassTables` layout, kept as the bit-identity reference the
   plan kernel is property-tested and benchmarked against.
@@ -50,8 +53,10 @@ from ..datasets.dataset import RelationalDataset
 from ..evaluation.timing import engine_counters
 from .arithmetization import get_combiner
 from .plan import (
+    CellStream,
     EvaluationPlan,
     PlanClass,
+    build_cell_stream,
     compile_plan_from_tables,
     recompile_delta,
 )
@@ -71,6 +76,33 @@ _SPARSE_MIN_ITEMS = 256
 #: expressed columns instead of one stacked full-width matmul.  Exact
 #: either way (the skipped terms are exact ``+0.0``); purely a cost model.
 _PER_QUERY_SPARSITY = 8
+#: A block that selects at least ``1 / _WHOLE_STREAM_SHARE`` of its
+#: ``block × stream`` elements gathers the whole cell stream and masks the
+#: cells by query; a sparser block gathers only its genes' runs, one
+#: ``take`` per run.  Both give the same cell values in the same order;
+#: purely a cost model.  A third lies between the measured crossovers: the
+#: whole stream wins from a share of ≈ 0.3 on ALL-profile queries (runs of
+#: ~14 elements), and only from ≈ 0.5 on long-run (thousands of elements)
+#: synthetic serving profiles.
+_WHOLE_STREAM_SHARE = 3
+
+#: Serializes the lazy cell-stream builds (module-level, so evaluators
+#: stay picklable); a build happens once per evaluator.
+_STREAM_LOCK = threading.Lock()
+
+
+def _concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The concatenated runs ``arange(s, s + n)`` for every ``(s, n)``
+    pair (all ``n >= 1``): one scatter and one cumsum, no per-run work."""
+    steps = np.ones(int(lengths.sum()), dtype=np.int64)
+    jumps = starts.astype(np.int64)
+    jumps[1:] -= starts[:-1] + lengths[:-1] - 1
+    steps[np.cumsum(lengths) - lengths] = jumps
+    return np.cumsum(steps, out=steps)
+
+
+def _join(pieces: List[np.ndarray]) -> np.ndarray:
+    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
 
 @dataclass
@@ -202,6 +234,7 @@ class FastBSTCEvaluator:
         #: Deferred artifact verification (set by ``load_artifact`` under
         #: ``verify="lazy"``); runs before the first query's kernel work.
         self._integrity_guard = None
+        self._streams: Optional[List[Optional[CellStream]]] = None
         engine_counters.increment("evaluator_builds")
         engine_counters.increment(
             "class_tables_built", sum(t is not None for t in tables)
@@ -230,6 +263,7 @@ class FastBSTCEvaluator:
         self._plan = plan
         self._tables = None
         self._integrity_guard = None
+        self._streams = None
         engine_counters.increment("evaluator_restores")
         return self
 
@@ -294,6 +328,23 @@ class FastBSTCEvaluator:
                 )
             )
         return tables
+
+    def _cell_streams(self) -> List[Optional[CellStream]]:
+        """The plan's per-class cell streams, built on the first batched
+        query.  The build runs under a lock, so concurrent first queries
+        build each stream once; a stream is never stored in an artifact."""
+        streams = self._streams
+        if streams is None:
+            with _STREAM_LOCK:
+                streams = self._streams
+                if streams is None:
+                    assert self._plan is not None
+                    streams = [
+                        None if pc is None else build_cell_stream(pc)
+                        for pc in self._plan.classes
+                    ]
+                    self._streams = streams
+        return streams
 
     def _per_class(self) -> Sequence[Optional[object]]:
         """The per-class kernel state: legacy tables when this evaluator
@@ -457,8 +508,9 @@ class FastBSTCEvaluator:
     def _pair_values_block_plan(
         self, pc: PlanClass, qmat: np.ndarray
     ) -> np.ndarray:
-        """V[c, b, h] for a block of queries, in the plan kernel's native
-        class-major layout (no transpose copy before the flat gather).
+        """V[b, c, h] for a block of queries: query-major, so query ``b``'s
+        pair values are one contiguous ``n_c·n_o`` row the cell stream's
+        element addresses index directly.
 
         For sparse batches each query's inner products are restricted to
         *its own* expressed columns — B small matmuls of width ``|Q_b|``
@@ -476,14 +528,14 @@ class FastBSTCEvaluator:
         if per_query:
             hq = np.empty((n_b, n_o), dtype=np.float32)
             cq = np.empty((n_b, n_c), dtype=np.float32)
-            chq = np.empty((n_c, n_b, n_o), dtype=np.float32)
+            chq = np.empty((n_b, n_c, n_o), dtype=np.float32)
             for b in range(n_b):
                 cols = np.flatnonzero(qmat[b])
                 ins = pc.inside_f[:, cols]
                 outs = pc.outside_f[:, cols]
                 hq[b] = outs.sum(axis=1)
                 cq[b] = ins.sum(axis=1)
-                chq[:, b, :] = ins @ outs.T
+                chq[b] = ins @ outs.T
         else:
             cols = self._sparse_columns(qmat)
             if cols is not None:
@@ -497,19 +549,19 @@ class FastBSTCEvaluator:
             hq = Qf @ outside_f.T                           # (B, n_o)
             cq = Qf @ inside_f.T                            # (B, n_c)
             n_width = Qf.shape[1]
-            masked = inside_f[:, None, :] * Qf[None, :, :]  # (n_c, B, w)
-            chq = (masked.reshape(n_c * n_b, n_width) @ outside_f.T).reshape(
-                n_c, n_b, n_o
+            masked = Qf[:, None, :] * inside_f[None, :, :]  # (B, n_c, w)
+            chq = (masked.reshape(n_b * n_c, n_width) @ outside_f.T).reshape(
+                n_b, n_c, n_o
             )
         with np.errstate(divide="ignore", invalid="ignore"):
             sat = np.where(
-                pc.pair_neg[:, None, :],
-                pc.pair_len[:, None, :] - (hq[None, :, :] - chq),
-                cq.T[:, :, None] - chq,
+                pc.pair_neg[None, :, :],
+                pc.pair_len[None, :, :] - (hq[:, None, :] - chq),
+                cq[:, :, None] - chq,
             )
             values = np.where(
-                pc.pair_len[:, None, :] > 0,
-                sat / pc.pair_len[:, None, :],
+                pc.pair_len[None, :, :] > 0,
+                sat / pc.pair_len[None, :, :],
                 0.0,
             )
         return values.astype(np.float32, copy=False)
@@ -547,14 +599,14 @@ class FastBSTCEvaluator:
         self, gathered: np.ndarray, starts: np.ndarray, lengths: np.ndarray
     ) -> np.ndarray:
         """Combine contiguous pair-value segments (one per non-blank,
-        non-black-dot cell) of a flat stream — the arithmetization applied
-        without any dense masking."""
+        non-black-dot cell) along the last axis of a gathered stream — the
+        arithmetization applied without any dense masking."""
         if self.arithmetization == "min":
-            return np.minimum.reduceat(gathered, starts)
+            return np.minimum.reduceat(gathered, starts, axis=-1)
         if self.arithmetization == "product":
-            return np.multiply.reduceat(gathered, starts)
-        sums = np.add.reduceat(gathered, starts)
-        return sums / lengths
+            return np.multiply.reduceat(gathered, starts, axis=-1)
+        sums = np.add.reduceat(gathered, starts, axis=-1)
+        return sums / np.asarray(lengths, dtype=np.float32)
 
     def class_value(self, class_id: int, query: Query) -> float:
         """BSTCE(T(class_id), Q) — Algorithm 5's classification value."""
@@ -719,16 +771,17 @@ class FastBSTCEvaluator:
         return values
 
     def _class_values_block_plan(
-        self, pc: PlanClass, qmat: np.ndarray
+        self, pc: PlanClass, stream: CellStream, qmat: np.ndarray
     ) -> np.ndarray:
-        """The plan-kernel form of :meth:`_class_values_block`.
+        """The plan-kernel form of :meth:`_class_values_block`, over the
+        class's precomputed :class:`~repro.core.plan.CellStream`.
 
-        Same cell enumeration over the inside CSR, but the pair values come
-        out class-major (no transpose copy), the outside stream is the
-        plan's duplicate-culled CSR (bit-identical under ``min``; the
-        stream is uncully for ``product``/``mean``), and the gathers run on
-        the arena's downcast index dtypes (widened to int64 only for the
-        flat-address arithmetic, which can exceed int32).
+        Per block the work is the pair values, one gather of the selected
+        cells' elements, one segment reduction and one ``bincount``.  The
+        values are bit-identical to the legacy kernel: a cell's elements
+        are the same outside rows (culled only under the idempotent
+        ``min``), and every (query, class) bin still adds its cells in
+        ascending gene order, starting from zero.
         """
         n_b = qmat.shape[0]
         values = np.zeros(n_b, dtype=np.float64)
@@ -741,79 +794,23 @@ class FastBSTCEvaluator:
             (relevant & pc.blackdot_mask).astype(np.float32)
             @ pc.inside_f.T
         ).astype(np.float64)
-        n_c, n_o = pc.inside.shape[0], pc.outside.shape[0]
-        b_idx, g_idx = np.nonzero(relevant & (pc.outside_counts > 0))
+        n_c = pc.inside.shape[0]
+        # Stream genes all lie inside gene_mask, so qmat selects them.
+        b_idx, g_idx = np.nonzero(qmat & (stream.gene_cell_len > 0))
         if b_idx.size:
-            pair_values = self._pair_values_block_plan(pc, qmat)  # (n_c, B, n_o)
-            flat1 = pair_values.ravel()
-            ins_c = pc.inside_rows
-            ins_offsets = pc.inside_row_offsets
-            rows_per_seg = (
-                ins_offsets[g_idx + 1] - ins_offsets[g_idx]
-            ).astype(np.int64)
-            keep = rows_per_seg > 0
-            if not keep.all():
-                b_idx = b_idx[keep]
-                g_idx = g_idx[keep]
-                rows_per_seg = rows_per_seg[keep]
-        if b_idx.size:
-            seg_lengths = pc.outside_counts[g_idx].astype(np.int64)
-            seg_stream = rows_per_seg * seg_lengths
-            cum_stream = np.cumsum(seg_stream)
-            n_segs = g_idx.size
-            code_chunks: List[np.ndarray] = []
-            val_chunks: List[np.ndarray] = []
-            stream_budget = max(1, _CELL_BUDGET >> 2)
-            start_seg = 0
-            while start_seg < n_segs:
-                base = int(cum_stream[start_seg]) - int(seg_stream[start_seg])
-                end_seg = int(
-                    np.searchsorted(cum_stream, base + stream_budget, "left")
-                ) + 1
-                end_seg = min(max(end_seg, start_seg + 1), n_segs)
-                g_ch = g_idx[start_seg:end_seg]
-                b_ch = b_idx[start_seg:end_seg]
-                rc_ch = rows_per_seg[start_seg:end_seg]
-                len_ch = seg_lengths[start_seg:end_seg]
-                cum_rc = np.cumsum(rc_ch)
-                n_cells = int(cum_rc[-1])
-                cell_seg = np.repeat(np.arange(end_seg - start_seg), rc_ch)
-                cell_row = ins_c[
-                    np.arange(n_cells, dtype=np.int64)
-                    - np.repeat(cum_rc - rc_ch, rc_ch)
-                    + np.repeat(
-                        ins_offsets[g_ch].astype(np.int64), rc_ch
-                    )
-                ].astype(np.int64)
-                cell_len = len_ch[cell_seg]
-                cum_e = np.cumsum(cell_len)
-                e_starts = cum_e - cell_len
-                total_e = int(cum_e[-1])
-                h_base = pc.h_offsets[g_ch].astype(np.int64)[cell_seg]
-                pos = np.arange(total_e, dtype=np.int64) + np.repeat(
-                    h_base - e_starts, cell_len
+            pair_values = self._pair_values_block_plan(pc, qmat).reshape(
+                n_b, -1
+            )  # (B, n_c·n_o)
+            selected = int(stream.gene_elem_len[g_idx].sum())
+            if selected * _WHOLE_STREAM_SHARE >= n_b * stream.n_elems:
+                codes, vals = self._stream_cells(
+                    stream, pair_values, qmat, n_c
                 )
-                # Class-major flat layout: cell (c, b, h) lives at
-                # c·(B·n_o) + b·n_o + h — the same formula the legacy path
-                # reaches only after a transpose copy.
-                cell_base = cell_row * (n_b * n_o) + b_ch[cell_seg] * n_o
-                flat_idx = np.repeat(cell_base, cell_len) + pc.h_flat[pos]
-                cell_vals = self._reduce_segments(
-                    flat1[flat_idx], e_starts, cell_len.astype(np.float32)
-                ).astype(np.float64)
-                code_chunks.append(b_ch[cell_seg] * n_c + cell_row)
-                val_chunks.append(cell_vals)
-                start_seg = end_seg
-            codes = (
-                code_chunks[0]
-                if len(code_chunks) == 1
-                else np.concatenate(code_chunks)
-            )
-            vals = (
-                val_chunks[0]
-                if len(val_chunks) == 1
-                else np.concatenate(val_chunks)
-            )
+            else:
+                codes, vals = self._run_cells(
+                    stream, pair_values, b_idx, g_idx, n_c
+                )
+            # Accumulate each cell onto its (query, class) column sum.
             col_sum += np.bincount(
                 codes, weights=vals, minlength=n_b * n_c
             ).reshape(n_b, n_c)
@@ -824,6 +821,95 @@ class FastBSTCEvaluator:
         has_cols = n_cols > 0
         values[has_cols] = column_means.sum(axis=1)[has_cols] / n_cols[has_cols]
         return values
+
+    def _stream_cells(
+        self,
+        stream: CellStream,
+        pair_values: np.ndarray,
+        qmat: np.ndarray,
+        n_c: int,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(bin codes, cell values)`` of a block's selected cells, by
+        gathering the whole stream for every query and masking cells by
+        query.  Chunked over cells so one chunk's ``(B, elements)`` gather
+        stays within the element budget."""
+        n_b = qmat.shape[0]
+        budget = max(1, (_CELL_BUDGET >> 2) // n_b)
+        n_cells = stream.cell_gene.size
+        codes: List[np.ndarray] = []
+        vals: List[np.ndarray] = []
+        first = 0
+        while first < n_cells:
+            e0 = int(stream.cell_start[first])
+            last = int(np.searchsorted(stream.cell_start, e0 + budget, "right"))
+            last = max(last, first + 1)
+            e1 = (
+                int(stream.cell_start[last]) if last < n_cells
+                else stream.n_elems
+            )
+            gathered = np.take(pair_values, stream.elem[e0:e1], axis=1)
+            cell_vals = self._reduce_segments(
+                gathered,
+                stream.cell_start[first:last] - e0,
+                stream.cell_len[first:last],
+            )  # (B, cells)
+            picked = qmat[:, stream.cell_gene[first:last]]
+            b_sel, c_sel = np.nonzero(picked)
+            codes.append(b_sel * n_c + stream.cell_row[first:last][c_sel])
+            vals.append(cell_vals[picked])
+            first = last
+        return _join(codes), _join(vals)
+
+    def _run_cells(
+        self,
+        stream: CellStream,
+        pair_values: np.ndarray,
+        b_idx: np.ndarray,
+        g_idx: np.ndarray,
+        n_c: int,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(bin codes, cell values)`` of a block's selected cells, by
+        gathering each selected ``(query, gene)`` run of the stream with its
+        own ``take``.  Runs come query-major in ascending gene order
+        (``np.nonzero``) and are chunked so one chunk's gathered elements
+        stay within the element budget."""
+        run_elems = stream.gene_elem_len[g_idx]
+        run_cells = stream.gene_cell_len[g_idx]
+        ends = np.cumsum(run_elems)
+        budget = max(1, _CELL_BUDGET >> 2)
+        codes: List[np.ndarray] = []
+        vals: List[np.ndarray] = []
+        first = 0
+        while first < g_idx.size:
+            base = int(ends[first]) - int(run_elems[first])
+            last = int(np.searchsorted(ends, base + budget, "right"))
+            last = max(last, first + 1)
+            genes, queries = g_idx[first:last], b_idx[first:last]
+            elems, cells = run_elems[first:last], run_cells[first:last]
+            gathered = np.concatenate([
+                pair_values[b].take(stream.elem[e0:e0 + n])
+                for b, e0, n in zip(
+                    queries.tolist(),
+                    stream.gene_elems[genes].tolist(),
+                    elems.tolist(),
+                )
+            ])
+            cell_at = _concat_ranges(stream.gene_cells[genes], cells)
+            # Each cell's start, moved from the stream to the gathered run.
+            starts = stream.cell_start[cell_at]
+            starts += np.repeat(
+                np.cumsum(elems) - elems - stream.gene_elems[genes], cells
+            )
+            vals.append(
+                self._reduce_segments(
+                    gathered, starts, stream.cell_len[cell_at]
+                )
+            )
+            codes.append(
+                np.repeat(queries * n_c, cells) + stream.cell_row[cell_at]
+            )
+            first = last
+        return _join(codes), _join(vals)
 
     def classification_values(self, query: Query) -> np.ndarray:
         """CV(i) for every class, as Algorithm 6 line 4 computes them."""
@@ -864,13 +950,20 @@ class FastBSTCEvaluator:
             engine_counters.increment("batch_calls")
             engine_counters.increment("batch_queries", n_q)
             engine_counters.observe_max("max_batch_size", n_q)
+            per_class = self._per_class()
+            streams = (
+                self._cell_streams() if self._tables is None
+                else [None] * len(per_class)
+            )
             for start in range(0, n_q, _BATCH_BLOCK):
                 block = qmat[start : start + _BATCH_BLOCK]
-                for class_id, entry in enumerate(self._per_class()):
+                for class_id, entry in enumerate(per_class):
                     if entry is None:
                         continue
                     if isinstance(entry, PlanClass):
-                        rows = self._class_values_block_plan(entry, block)
+                        rows = self._class_values_block_plan(
+                            entry, streams[class_id], block
+                        )
                     else:
                         rows = self._class_values_block(entry, block)
                     out[start : start + _BATCH_BLOCK, class_id] = rows

@@ -50,10 +50,12 @@ from ..evaluation.timing import engine_counters
 
 __all__ = [
     "ARENA_FIELDS",
+    "CellStream",
     "EvaluationPlan",
     "FLOAT32_EXACT_MAX",
     "INT32_MAX",
     "PlanClass",
+    "build_cell_stream",
     "compile_plan_from_tables",
     "plan_from_arena",
     "recompile_delta",
@@ -684,8 +686,9 @@ def plan_from_arena(
 
     The inverse of the flattening in :func:`compile_plan_from_tables` and
     the zero-copy load path behind artifact format v2: every
-    :class:`PlanClass` array is a slice of the corresponding arena member,
-    so memmapped members stay memmapped all the way into the kernels.
+    :class:`PlanClass` array is a plain ``ndarray`` slice of the
+    corresponding arena member, so a memory-mapped member is read in place
+    by the kernels without a copy (``plan.arena`` keeps the maps).
 
     Raises :class:`ValueError` when the arena member lengths disagree with
     the geometry table — the artifact loader wraps that into a structured
@@ -717,6 +720,9 @@ def plan_from_arena(
                 f"plan arena member {name!r} holds {int(arena[name].size)}"
                 f" elements, geometry requires {totals[name]}"
             )
+    # Plain ndarray views: still zero-copy over a memory-mapped member, but
+    # the kernels index them without going through ``memmap.__getitem__``.
+    plain = {name: arena[name].view(np.ndarray) for name in ARENA_FIELDS}
     offsets = {name: 0 for name in ARENA_FIELDS}
     classes: List[Optional[PlanClass]] = []
     for class_id in range(n_classes):
@@ -727,7 +733,7 @@ def plan_from_arena(
         views: Dict[str, np.ndarray] = {}
         for name in ARENA_FIELDS:
             size = _field_size(name, n_c, n_o, h_len, ir_len, n_items)
-            flat = arena[name][offsets[name]:offsets[name] + size]
+            flat = plain[name][offsets[name]:offsets[name] + size]
             offsets[name] += size
             shape = _field_shape(name, n_c, n_o, n_items)
             views[name] = flat if shape is None else flat.reshape(shape)
@@ -741,4 +747,81 @@ def plan_from_arena(
         arena=arena,
         geometry=geometry,
         classes=classes,
+    )
+
+
+@dataclass(frozen=True)
+class CellStream:
+    """One class's query-independent cell stream, derived from its plan
+    views (:func:`build_cell_stream`).
+
+    A *cell* is a non-blank, non-black-dot ``(gene, inside row)`` pair;
+    cells run gene-major (ascending gene, then the ``inside_rows`` order).
+    Each cell's *elements* are the flat pair-value addresses
+    ``cell_row·n_o + h`` over the outside rows ``h`` expressing its gene,
+    in the plan's (culled) ``h_flat`` order, so a query's cell values are
+    one gather from its ``(n_c·n_o)`` pair values plus one segment
+    reduction.  Never stored in an artifact: it is rebuilt from the plan
+    on an evaluator's first batched query.
+    """
+
+    cell_gene: np.ndarray   # int32 (n_cells,)
+    cell_row: np.ndarray    # int32 (n_cells,)
+    cell_start: np.ndarray  # int64 (n_cells,): first element of each cell
+    cell_len: np.ndarray    # int64 (n_cells,): elements per cell (>= 1)
+    elem: np.ndarray        # int32, int64 if n_c·n_o > INT32_MAX: (n_elems,)
+    gene_cells: np.ndarray  # int64 (n_items,): first cell of each gene
+    gene_cell_len: np.ndarray  # int64 (n_items,): cells per gene
+    gene_elems: np.ndarray  # int64 (n_items,): first element of each gene
+    gene_elem_len: np.ndarray  # int64 (n_items,): elements per gene
+
+    @property
+    def n_elems(self) -> int:
+        return int(self.elem.size)
+
+
+def _offsets(lengths: np.ndarray) -> np.ndarray:
+    """Exclusive prefix sums: where each of ``lengths``' runs starts."""
+    starts = np.cumsum(lengths)
+    starts -= lengths
+    return starts
+
+
+def build_cell_stream(pc: PlanClass) -> CellStream:
+    """Derive one class's :class:`CellStream` from its plan views, in one
+    vectorised pass.  Counted under ``plan_stream_builds``."""
+    n_items = int(pc.gene_mask.size)
+    n_c, n_o = int(pc.inside.shape[0]), int(pc.outside.shape[0])
+    counts = np.asarray(pc.outside_counts, dtype=np.int64)
+    rows = np.diff(np.asarray(pc.inside_row_offsets, dtype=np.int64))
+    entry_gene = np.repeat(np.arange(n_items, dtype=np.int64), rows)
+    # Black-dot genes (no outside row) have no elements: they are valued
+    # by the kernel's black-dot matmul, not by the stream.
+    keep = counts[entry_gene] > 0
+    cell_gene = entry_gene[keep]
+    cell_row = np.asarray(pc.inside_rows)[keep].astype(np.int64)
+    cell_len = counts[cell_gene]
+    cell_start = _offsets(cell_len)
+    gene_cell_len = np.where(counts > 0, rows, 0)
+    gene_elem_len = gene_cell_len * counts
+    elem_dtype = np.int32 if n_c * n_o - 1 <= INT32_MAX else np.int64
+    # Element e of a cell reads h_flat at its gene's offset plus e's place
+    # in the cell.
+    h_base = np.asarray(pc.h_offsets, dtype=np.int64)[cell_gene] - cell_start
+    pos = np.arange(int(cell_len.sum()), dtype=np.int64)
+    pos += np.repeat(h_base, cell_len)
+    elem = np.repeat(cell_row * n_o, cell_len)
+    elem += np.asarray(pc.h_flat)[pos]
+    elem = elem.astype(elem_dtype, copy=False)
+    engine_counters.increment("plan_stream_builds")
+    return CellStream(
+        cell_gene=cell_gene.astype(np.int32),
+        cell_row=cell_row.astype(np.int32),
+        cell_start=cell_start,
+        cell_len=cell_len,
+        elem=elem,
+        gene_cells=_offsets(gene_cell_len),
+        gene_cell_len=gene_cell_len,
+        gene_elems=_offsets(gene_elem_len),
+        gene_elem_len=gene_elem_len,
     )

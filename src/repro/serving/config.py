@@ -28,9 +28,11 @@ class ServeConfig:
 
     Attributes:
         max_batch: largest batch the worker hands to the kernel.
-        max_wait_ms: how long the worker holds an open batch for stragglers
-            once it has at least one request (``0`` batches only what is
-            already queued).
+        max_wait_ms: how long the worker holds an open batch for stragglers.
+            The window opens only when other requests are already queued
+            behind the one the worker took; a request that finds the queue
+            empty is dispatched at once (``0`` batches only what is already
+            queued).
         max_pending: bound on queued requests; submitters past it block
             until the worker catches up (backpressure).
         default_deadline_ms: deadline applied to requests that do not carry

@@ -110,21 +110,33 @@ def _parse_query(body: Dict[str, Any]) -> Any:
             "request body must carry exactly one of 'vector' (dense"
             " indicator list) or 'items' (expressed item ids)"
         )
+    # Entries are checked by JSON type, not coerced: a string, a float item
+    # id or a boolean item id is refused instead of silently becoming a
+    # different query.
     if has_vector:
         vector = body["vector"]
         if not isinstance(vector, list):
             raise QueryError("'vector' must be a JSON array of numbers")
+        for index, value in enumerate(vector):
+            if not isinstance(value, (int, float)):  # bool is an int
+                raise QueryError(
+                    f"'vector' entry {index} is {value!r}; entries must be"
+                    " JSON numbers or booleans"
+                )
         try:
             return np.asarray(vector, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
+        except OverflowError as exc:  # an integer past the float range
             raise QueryError(f"'vector' is not numeric: {exc}") from exc
     items = body["items"]
     if not isinstance(items, list):
         raise QueryError("'items' must be a JSON array of item ids")
-    try:
-        return frozenset(int(i) for i in items)
-    except (TypeError, ValueError) as exc:
-        raise QueryError(f"'items' entries must be integers: {exc}") from exc
+    for index, value in enumerate(items):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise QueryError(
+                f"'items' entry {index} is {value!r}; item ids must be JSON"
+                " integers"
+            )
+    return frozenset(items)
 
 
 def _optional_number(

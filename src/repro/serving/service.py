@@ -4,12 +4,14 @@ Single-query callers never benefit from the batched BSTCE kernel: each
 ``classification_values`` call pays the full per-query dispatch and matmul
 cost alone.  :class:`PredictionService` closes that gap for concurrent
 callers — requests are enqueued, a dedicated worker thread coalesces
-whatever has accumulated (up to ``max_batch``, waiting at most
-``max_wait_ms`` for stragglers) into one
-``classification_values_batch`` call, and each caller gets exactly its own
-row back.  Under concurrent load the per-query cost converges to the batched
-kernel's amortized cost; an idle service adds at most ``max_wait_ms`` of
-latency to a lone request.
+whatever has accumulated into one ``classification_values_batch`` call, and
+each caller gets exactly its own row back.  **Dispatch on idle:** a request
+that finds the queue empty is evaluated at once, as a batch of one; only
+when other requests are already queued (they arrived while the previous
+batch was computing) does the worker open a straggler window of at most
+``max_wait_ms`` and batch up to ``max_batch`` of them.  Under concurrent
+load the per-query cost converges to the batched kernel's amortized cost;
+an idle service adds no wait to a lone request.
 
 Design points:
 
@@ -479,7 +481,11 @@ class PredictionService:
                 self._answer_expired(item)
                 continue
             batch = [item]
-            deadline = time.monotonic() + self._max_wait
+            # Dispatch on idle: a request with nothing queued behind it runs
+            # at once.  The straggler window opens only when others are
+            # already waiting, i.e. arrived while the last batch computed.
+            window = self._max_wait if self._queue.qsize() else 0.0
+            deadline = time.monotonic() + window
             saw_shutdown = False
             with self._state_lock:
                 batch_limit = self._effective_max_batch

@@ -21,6 +21,7 @@ from repro.core.artifact import (
     save_artifact,
 )
 from repro.core.classifier import BSTClassifier
+from repro.core.plan import ARENA_FIELDS
 from repro.core.fast import (
     FastBSTCEvaluator,
     clear_evaluator_cache,
@@ -82,23 +83,30 @@ class TestRoundTrip:
     def test_plan_views_are_memory_mapped(self, tmp_path, example):
         evaluator = FastBSTCEvaluator(example)
         loaded = load_artifact(save_artifact(evaluator, tmp_path / "m.npz"))
-        mapped = [
-            pc.inside_f
-            for pc in loaded.plan.classes
-            if pc is not None and pc.inside_f.size
-        ]
-        # Per-class views slice the flat arena members; np.memmap survives
-        # slicing/reshaping, so every view is still a map of the file.
-        assert mapped and all(isinstance(a, np.memmap) for a in mapped)
+        checked = 0
+        for pc in loaded.plan.classes:
+            if pc is None:
+                continue
+            for name in ARENA_FIELDS:
+                view = getattr(pc, name)
+                if not view.size:
+                    continue
+                member = loaded.plan.arena[name]
+                assert isinstance(member, np.memmap)
+                # A plain ndarray view (the kernels skip memmap.__getitem__)
+                # that reads the mapped file in place: nothing is copied.
+                assert type(view) is np.ndarray
+                assert np.shares_memory(view, member)
+                checked += 1
+        assert checked
 
     def test_eager_load(self, tmp_path, example):
         evaluator = FastBSTCEvaluator(example)
         path = save_artifact(evaluator, tmp_path / "m.npz")
         loaded = load_artifact(path, mmap=False)
         assert not any(
-            isinstance(pc.inside_f, np.memmap)
-            for pc in loaded.plan.classes
-            if pc is not None
+            isinstance(member, np.memmap)
+            for member in loaded.plan.arena.values()
         )
         query = np.zeros(example.n_items, dtype=bool)
         query[:2] = True
@@ -378,9 +386,8 @@ class TestReaderFallbacks:
         packed = self._recompress(source, tmp_path / "packed.npz")
         loaded = load_artifact(packed, verify="eager")
         assert not any(
-            isinstance(pc.inside_f, np.memmap)
-            for pc in loaded.plan.classes
-            if pc is not None
+            isinstance(member, np.memmap)
+            for member in loaded.plan.arena.values()
         )
         queries = np.eye(example.n_items, dtype=bool)
         assert np.array_equal(
@@ -420,9 +427,8 @@ class TestReaderFallbacks:
         )
         loaded = load_artifact(path)
         assert not any(
-            isinstance(pc.inside_f, np.memmap)
-            for pc in loaded.plan.classes
-            if pc is not None
+            isinstance(member, np.memmap)
+            for member in loaded.plan.arena.values()
         )
         queries = np.eye(example.n_items, dtype=bool)
         assert np.array_equal(

@@ -177,6 +177,67 @@ class TestErrorMapping:
         assert status == 400
         assert payload["error"]["type"] == "QueryError"
 
+    @pytest.mark.parametrize(
+        "key, entry",
+        [
+            ("items", 1.9),
+            ("items", 1.0),
+            ("items", "3"),
+            ("items", True),
+            ("items", None),
+            ("items", [0]),
+            ("items", {"id": 0}),
+            ("vector", "1"),
+            ("vector", "0"),
+            ("vector", None),
+            ("vector", [1.0]),
+            ("vector", {"v": 1}),
+        ],
+    )
+    def test_malformed_entry_is_400(self, gateway, example, key, entry):
+        # Entries are checked by JSON type, never coerced into another query.
+        if key == "items":
+            body = {"items": Q_ITEMS + [entry]}
+        else:
+            vector = [0.0] * example.n_items
+            vector[1] = entry
+            body = {"vector": vector}
+        status, payload = _request(
+            f"{gateway.url}/v1/models/exp:predict", body
+        )
+        assert status == 400
+        assert payload["error"]["type"] == "QueryError"
+        assert "entry" in payload["error"]["message"]
+
+    def test_mixed_malformed_items_are_refused_not_rewritten(self, gateway):
+        # int() coercion would have answered this as the query {1, 2}.
+        status, payload = _request(
+            f"{gateway.url}/v1/models/exp:predict", {"items": [1.9, "2", True]}
+        )
+        assert status == 400
+        assert payload["error"]["type"] == "QueryError"
+
+    def test_huge_vector_entry_is_400(self, gateway, example):
+        vector = [0] * example.n_items
+        vector[0] = 10**400
+        status, payload = _request(
+            f"{gateway.url}/v1/models/exp:predict", {"vector": vector}
+        )
+        assert status == 400
+        assert payload["error"]["type"] == "QueryError"
+
+    def test_boolean_and_integer_vectors_are_numbers(self, gateway, example):
+        flags = [i in Q_ITEMS for i in range(example.n_items)]
+        _, by_items = _request(
+            f"{gateway.url}/v1/models/exp:predict", {"items": Q_ITEMS}
+        )
+        for vector in (flags, [int(f) for f in flags]):
+            status, payload = _request(
+                f"{gateway.url}/v1/models/exp:predict", {"vector": vector}
+            )
+            assert status == 200
+            assert payload["values"] == by_items["values"]
+
     def test_explain_artifact_model_is_501(self, gateway):
         status, payload = _request(
             f"{gateway.url}/v1/models/exp:explain", {"items": Q_ITEMS}

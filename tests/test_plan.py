@@ -1,7 +1,8 @@
 """Compiled evaluation plans: bit-identity vs the legacy kernel, the
-duplicate-row cull, dtype-downcast overflow guards, arena structure, and the
-v1 artifact fallback."""
+duplicate-row cull, dtype-downcast overflow guards, arena structure, the
+v1 artifact fallback, and the cell-stream kernel's differential tests."""
 
+import threading
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ from repro.core.arithmetization import COMBINERS
 from repro.core.artifact import load_artifact, save_artifact
 from repro.core.classifier import BSTClassifier
 from repro.core.fast import FastBSTCEvaluator, _class_tables_for, clear_evaluator_cache
+from repro.core import fast as fast_module
 from repro.core import plan as plan_module
 from repro.core.plan import (
     ARENA_FIELDS,
@@ -374,3 +376,213 @@ class TestArtifactV1Fallback:
                 FastBSTCEvaluator(dataset), tmp_path / "x.npz",
                 format_version=3,
             )
+
+
+def _legacy_rows(dataset, arithmetization, queries):
+    """The reference: the legacy tables' ``_class_values_block`` kernel."""
+    legacy = FastBSTCEvaluator(dataset, arithmetization, compile_plan=False)
+    return legacy.classification_values_batch(queries)
+
+
+def _wide_dataset(seed, n_samples=60, n_items=300, n_classes=3, density=0.35):
+    rng = np.random.default_rng(seed)
+    matrix = rng.random((n_samples, n_items)) < density
+    labels = rng.integers(0, n_classes, n_samples)
+    labels[:n_classes] = np.arange(n_classes)
+    matrix[1] = matrix[0]  # a duplicate outside row for the min cull
+    return RelationalDataset.from_bool_matrix(
+        matrix, labels.tolist(), class_names=[f"c{i}" for i in range(n_classes)]
+    )
+
+
+#: Cell-selection methods of the plan kernel, forced through its cost
+#: constant: the whole-stream gather and the per-run gather.
+_SELECTION_MODES = {
+    "auto": {},
+    "whole": {"_WHOLE_STREAM_SHARE": 10**12},
+    "runs": {"_WHOLE_STREAM_SHARE": 0},
+}
+
+
+@pytest.fixture(params=sorted(_SELECTION_MODES))
+def selection_mode(request, monkeypatch):
+    for name, value in _SELECTION_MODES[request.param].items():
+        monkeypatch.setattr(fast_module, name, value)
+    return request.param
+
+
+class TestCellStreamKernel:
+    """The cell-stream plan kernel against the legacy ``_class_values_block``
+    reference, compared with ``np.array_equal`` (bit for bit)."""
+
+    @pytest.mark.parametrize("arithmetization", sorted(COMBINERS))
+    @pytest.mark.parametrize("n_queries", [1, 2, 64, 65])
+    def test_batch_sizes_and_densities(
+        self, arithmetization, n_queries, selection_mode
+    ):
+        dataset = _wide_dataset(71)
+        rng = np.random.default_rng(n_queries)
+        # Densities on both sides of the whole-stream threshold, mixed
+        # within one block.
+        density = np.resize([0.02, 0.1, 0.5, 0.9], n_queries)
+        queries = rng.random((n_queries, dataset.n_items)) < density[:, None]
+        planned = FastBSTCEvaluator(dataset, arithmetization)
+        assert np.array_equal(
+            planned.classification_values_batch(queries),
+            _legacy_rows(dataset, arithmetization, queries),
+        )
+
+    @pytest.mark.parametrize("arithmetization", sorted(COMBINERS))
+    def test_random_datasets(self, arithmetization, selection_mode):
+        rng = np.random.default_rng(73)
+        for _ in range(6):
+            dataset = _with_duplicates(rng)
+            queries = rng.random((9, dataset.n_items)) < rng.uniform(0.1, 0.8)
+            assert np.array_equal(
+                FastBSTCEvaluator(
+                    dataset, arithmetization
+                ).classification_values_batch(queries),
+                _legacy_rows(dataset, arithmetization, queries),
+            )
+
+    def test_density_picks_each_selection_method(self, monkeypatch):
+        calls = {"_stream_cells": 0, "_run_cells": 0}
+        for name in calls:
+            original = getattr(FastBSTCEvaluator, name)
+
+            def spy(self, *args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(FastBSTCEvaluator, name, spy)
+        dataset = _wide_dataset(79)
+        rng = np.random.default_rng(79)
+        planned = FastBSTCEvaluator(dataset)
+        for density, method in ((0.9, "_stream_cells"), (0.02, "_run_cells")):
+            before = dict(calls)
+            queries = rng.random((4, dataset.n_items)) < density
+            assert np.array_equal(
+                planned.classification_values_batch(queries),
+                _legacy_rows(dataset, "min", queries),
+            )
+            assert calls[method] > before[method]
+
+    def test_empty_and_black_dot_only_queries(self, selection_mode):
+        dataset = _wide_dataset(83)
+        matrix = dataset.bool_matrix.copy()
+        labels = dataset.label_array
+        # Gene 0 is expressed by class 0 only: a black dot for class 0 and
+        # outside every other class's gene mask.
+        matrix[:, 0] = labels == 0
+        dataset = RelationalDataset.from_bool_matrix(
+            matrix, labels.tolist(), class_names=list(dataset.class_names)
+        )
+        queries = np.zeros((3, dataset.n_items), dtype=bool)
+        queries[1, 0] = True
+        queries[2, :5] = True
+        for arithmetization in sorted(COMBINERS):
+            planned = FastBSTCEvaluator(dataset, arithmetization)
+            rows = planned.classification_values_batch(queries)
+            assert np.array_equal(
+                rows, _legacy_rows(dataset, arithmetization, queries)
+            )
+            assert not rows[0].any()
+            assert rows[1, 0] == 1.0 and not rows[1, 1:].any()
+
+    def test_class_without_outside_rows(self, selection_mode):
+        # Every sample is class 0: it has no outside rows (an empty stream,
+        # all black dots) and class 1 is absent.
+        rng = np.random.default_rng(89)
+        matrix = rng.random((6, 20)) < 0.5
+        dataset = RelationalDataset.from_bool_matrix(
+            matrix, [0] * 6, class_names=["a", "b"]
+        )
+        planned = FastBSTCEvaluator(dataset)
+        queries = rng.random((5, 20)) < 0.5
+        rows = planned.classification_values_batch(queries)
+        assert np.array_equal(rows, _legacy_rows(dataset, "min", queries))
+        stream = planned._cell_streams()[0]
+        assert stream.n_elems == 0 and planned._cell_streams()[1] is None
+
+    def test_int64_fallback_plan(self, monkeypatch, selection_mode):
+        dataset = _wide_dataset(97, n_items=120)
+        queries = np.random.default_rng(97).random((7, 120)) < 0.3
+        monkeypatch.setattr(plan_module, "INT32_MAX", 0)
+        planned = FastBSTCEvaluator(dataset)
+        rows = planned.classification_values_batch(queries)
+        assert planned.plan.index_dtype == np.dtype(np.int64)
+        assert all(
+            s.elem.dtype == np.dtype(np.int64)
+            for s in planned._cell_streams()
+        )
+        monkeypatch.undo()
+        assert np.array_equal(rows, _legacy_rows(dataset, "min", queries))
+
+    @pytest.mark.parametrize("arithmetization", sorted(COMBINERS))
+    def test_loaded_and_refreshed_evaluators(
+        self, tmp_path, arithmetization, selection_mode
+    ):
+        dataset = _wide_dataset(101)
+        queries = np.random.default_rng(101).random(
+            (9, dataset.n_items)
+        ) < np.resize([0.03, 0.6], 9)[:, None]
+        expected = _legacy_rows(dataset, arithmetization, queries)
+        path = save_artifact(
+            FastBSTCEvaluator(dataset, arithmetization), tmp_path / "m.npz"
+        )
+        base = RelationalDataset.from_bool_matrix(
+            dataset.bool_matrix[:40],
+            dataset.label_array[:40].tolist(),
+            class_names=list(dataset.class_names),
+        )
+        refreshed = FastBSTCEvaluator(base, arithmetization).append_rows(
+            dataset
+        )
+        for evaluator in (
+            load_artifact(path),
+            load_artifact(path, mmap=False),
+            refreshed,
+        ):
+            assert np.array_equal(
+                evaluator.classification_values_batch(queries), expected
+            )
+
+    def test_one_build_per_class_across_many_queries(self):
+        dataset = _wide_dataset(103)
+        planned = FastBSTCEvaluator(dataset)
+        before = engine_counters.get("plan_stream_builds")
+        rng = np.random.default_rng(103)
+        for _ in range(5):
+            planned.classification_values_batch(
+                rng.random((3, dataset.n_items)) < 0.4
+            )
+            planned.classification_values_batch(
+                [frozenset({1, 2, 3})]
+            )
+        non_empty = sum(pc is not None for pc in planned.plan.classes)
+        assert engine_counters.get("plan_stream_builds") == before + non_empty
+
+    def test_racing_first_queries_build_once(self, tmp_path):
+        dataset = _wide_dataset(107)
+        path = save_artifact(FastBSTCEvaluator(dataset), tmp_path / "m.npz")
+        loaded = load_artifact(path)
+        query = np.random.default_rng(107).random(dataset.n_items) < 0.4
+        barrier = threading.Barrier(8)
+        rows = [None] * 8
+        before = engine_counters.get("plan_stream_builds")
+
+        def first_query(slot):
+            barrier.wait()
+            rows[slot] = loaded.classification_values_batch([query])[0]
+
+        threads = [
+            threading.Thread(target=first_query, args=(i,)) for i in range(8)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        non_empty = sum(pc is not None for pc in loaded.plan.classes)
+        assert engine_counters.get("plan_stream_builds") == before + non_empty
+        expected = _legacy_rows(dataset, "min", [query])[0]
+        assert all(np.array_equal(row, expected) for row in rows)

@@ -162,6 +162,55 @@ class TestBatching:
         assert counters.get("max_service_batch") == 1
 
 
+class TestDispatchOnIdle:
+    """A request that finds the queue empty runs at once; the straggler
+    window only batches requests already queued behind it.  Deterministic:
+    no sleeps, the ordering is forced with events and direct submits."""
+
+    def test_lone_request_skips_the_straggler_window(self, evaluator):
+        counters = EngineCounters()
+        query = np.zeros(evaluator.dataset.n_items, dtype=bool)
+        query[[0, 3]] = True
+        with make_service(
+            evaluator, max_wait_ms=60000.0, counters=counters
+        ) as service:
+            # A one-minute window would blow this timeout if it opened.
+            values = service.classification_values(query, timeout=10)
+        assert np.array_equal(
+            values, evaluator.classification_values_batch([query])[0]
+        )
+        assert counters.get("service_batches") == 1
+
+    def test_requests_queued_during_a_batch_coalesce(self, evaluator):
+        gate = threading.Event()
+        model = _GatedModel(evaluator, {0: gate})
+        counters = EngineCounters()
+        rng = np.random.default_rng(17)
+        queries = _queries(rng, evaluator.dataset.n_items, n=4)
+        service = make_service(
+            model, max_batch=3, max_wait_ms=60000.0, counters=counters
+        )
+        try:
+            first = service._submit(queries[0], None)
+            assert model.started.wait(10)  # batch 1 is computing
+            queued = [service._submit(q, None) for q in queries[1:]]
+            gate.set()
+            for request in [first] + queued:
+                assert request.done.wait(10)
+        finally:
+            gate.set()  # never leave the worker wedged on a failure
+            service.close()
+        # The three queued requests fill batch 2 (max_batch=3), so the
+        # long window closes on the batch limit, not on the clock.
+        assert model.calls == 2
+        assert counters.get("max_service_batch") == 3
+        assert counters.get("service_batches") == 2
+        expected = evaluator.classification_values_batch(queries)
+        for row, request in zip(expected, [first] + queued):
+            assert request.error is None
+            assert np.array_equal(request.values, row)
+
+
 class TestLifecycle:
     def test_submit_after_close_raises(self, evaluator):
         counters = EngineCounters()
