@@ -1,20 +1,22 @@
 #!/usr/bin/env python
-"""Fail CI when a gated benchmark ratio regresses against the committed
+"""Fail CI when a gated benchmark figure regresses against the committed
 baseline.
 
 Compares the freshly written ``BENCH_micro.json`` / ``BENCH_replay.json``
 in the working tree against the last committed entry (``git show
-<ref>:<file>``).  Only the *gated* ratios are compared — the numbers the
-benchmark suite itself asserts on — with a direction per key (speedups
-must not drop, peak-memory ratios must not rise) and a relative
-tolerance (default 20%).
+<ref>:<file>``).  Only the *gated* keys are compared — ratios and
+absolute figures (bytes, µs per query) — with a direction per key
+(speedups must not drop, bytes and latencies must not rise) and a
+relative tolerance (default 20%).
 
 Records from different modes are incomparable: a smoke-mode run shrinks
 the profiles, so if the ``smoke`` flags disagree the suite is skipped
 with a note instead of producing a bogus verdict.  A file missing on
 either side (first commit, bench not run) is likewise a skip, not a
 failure — the script gates *trends*, it does not require benches to have
-run.
+run.  Within two comparable records, a gated key the baseline has but
+the fresh record lacks fails (a deleted benchmark must not pass its own
+gate); a key new since the baseline is skipped.
 
 Usage::
 
@@ -39,9 +41,9 @@ GATES = {
         "bitset_support_counting_speedup": "up",
         "bitset_closure_speedup": "up",
         "artifact_cold_start_speedup": "up",
-        "artifact_v2_vs_v1_cold_start_speedup": "up",
-        "plan_kernel_speedup": "up",
-        "plan_hot_bytes_ratio": "down",
+        "plan_arena_bytes": "down",
+        "plan_kernel_us_per_query": "down",
+        "evaluator_build_peak_bytes": "down",
         "incremental_append_speedup": "up",
         "chunked_ingest_peak_ratio_10x": "down",
     },
@@ -109,7 +111,13 @@ def compare_suite(name: str, gates, ref: str, tolerance: float):
     for key, direction in sorted(gates.items()):
         cur = gated_value(current, key)
         base = gated_value(baseline, key)
-        if cur is None or base is None or base == 0:
+        if base is None:
+            continue  # new since the baseline: nothing to compare against
+        if cur is None:
+            print(f"{name}: {key}: {base:.3f} -> missing [MISSING]")
+            failures.append(f"{name}:{key} missing from the fresh record")
+            continue
+        if base == 0:
             continue
         change = (cur - base) / abs(base)
         arrow = f"{base:.3f} -> {cur:.3f} ({change:+.1%})"
@@ -147,7 +155,7 @@ def main(argv=None) -> int:
     if failures:
         print(
             f"\n{len(failures)} gated ratio(s) regressed more than"
-            f" {args.tolerance:.0%}:"
+            f" {args.tolerance:.0%} or went missing:"
         )
         for failure in failures:
             print(f"  {failure}")

@@ -28,7 +28,7 @@ codes map 1:1 onto the HTTP statuses of :mod:`repro.serving.surface`.
 (``serve-bench`` remains a hidden alias of ``bench``.)
 
 Every command prints the engine counters afterwards: evaluator cache
-hits/misses and entries/capacity, class tables built, batch sizes, serving
+hits/misses and entries/capacity, plans compiled, batch sizes, serving
 latency/occupancy, and per-phase wall time.
 """
 
@@ -77,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help=(
             "bound on the process-wide evaluator LRU cache (each entry holds"
-            " dense per-class tables); the counter dump reports"
+            " a dense compiled per-class plan); the counter dump reports"
             " entries/capacity"
         ),
     )

@@ -29,7 +29,7 @@ _EXPORTS = {
     "explain_classification": "explain",
     "EvaluationPlan": "plan",
     "PlanClass": "plan",
-    "compile_plan_from_tables": "plan",
+    "compile_plan": "plan",
     "plan_from_arena": "plan",
     "FastBSTCEvaluator": "fast",
     "clear_evaluator_cache": "fast",
@@ -111,6 +111,6 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
     from .plan import (  # noqa: F401
         EvaluationPlan,
         PlanClass,
-        compile_plan_from_tables,
+        compile_plan,
         plan_from_arena,
     )

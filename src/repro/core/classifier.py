@@ -196,7 +196,7 @@ class BSTClassifier:
         if evaluator is None:
             if not isinstance(self._dataset, RelationalDataset):
                 raise ValueError(
-                    "cannot rebuild tables from an artifact-loaded"
+                    "cannot recompile the plan of an artifact-loaded"
                     " classifier without its fast evaluator"
                 )
             evaluator = get_evaluator(self._dataset, self.arithmetization)
@@ -215,7 +215,7 @@ class BSTClassifier:
         arithmetization: str = "min",
     ) -> "BSTClassifier":
         """Reconstruct a fitted classifier from a saved artifact — zero
-        table rebuild (see :func:`repro.core.artifact.load_artifact`).
+        recompilation (see :func:`repro.core.artifact.load_artifact`).
 
         The loaded evaluator is registered in the process-wide cache, so a
         later ``fit`` on the same training data reuses it.  The returned

@@ -1,18 +1,17 @@
 """Ahead-of-time compiled evaluation plans: one structure-of-arrays arena.
 
-The batched BSTCE kernel used to walk 16 loosely related per-class arrays
-(:class:`repro.core.fast._ClassTables`) with int64/float64-heavy dtypes.
-This module fuses them, at fit/save time, into a single flat
-**structure-of-arrays arena** the kernel evaluates from directly:
+The batched BSTCE kernel (:mod:`repro.core.fast`) evaluates from a single
+flat **structure-of-arrays arena** compiled at fit/save time straight from
+each class's inside and outside row blocks (:func:`compile_plan`):
 
-* **Fused pair weights** — the four per-pair arrays ``len_neg`` /
-  ``len_pos`` / ``negated`` / ``empty`` (10 bytes per pair) collapse into
-  ``pair_len`` (the selected list's length; ``0`` marks the empty list)
-  and ``pair_neg`` (which form was selected) — 5 bytes per pair.  The
-  selection is bit-identical to the legacy where-chains because every
-  satisfied-literal count is small-integer float32 arithmetic (exact below
-  2**24) and the single rounding operation, the final ``sat / len``
-  division, keeps exactly the same operands.
+* **Fused pair weights** — each ``(c, h)`` pair stores ``pair_len`` (the
+  length of its shared exclusion list: ``|h - c|`` for the negated form,
+  else the fallback ``|c - h|``; ``0`` marks the empty list) and
+  ``pair_neg`` (which form was selected) — 5 bytes per pair, computed by
+  one helper (:func:`_pair_weights`) shared by the cold compile and the
+  delta recompile.  Every length is a small-integer float32 count (exact
+  below 2**24), so the kernel's single rounding operation is the final
+  ``sat / len`` division.
 * **Downcast dtypes** — index arrays (CSR offsets, row ids, counts) store
   as int32 and pair lengths as float32 *when the ranges permit*, with
   explicit overflow guards: a value past :data:`INT32_MAX` /
@@ -55,11 +54,11 @@ __all__ = [
     "FLOAT32_EXACT_MAX",
     "INT32_MAX",
     "PlanClass",
+    "address_dtype",
     "build_cell_stream",
-    "compile_plan_from_tables",
+    "compile_plan",
     "plan_from_arena",
     "recompile_delta",
-    "tables_hot_nbytes",
 ]
 
 #: Largest index an int32 arena can address; anything larger falls back to
@@ -136,24 +135,6 @@ class EvaluationPlan:
         return sum(int(a.nbytes) for a in self.arena.values())
 
 
-def tables_hot_nbytes(tables: Sequence[Optional[object]]) -> int:
-    """The legacy ``_ClassTables`` equivalent of
-    :meth:`EvaluationPlan.hot_nbytes`, for the bytes-per-query comparison
-    gated in ``bench_micro``."""
-    legacy_fields = (
-        "inside", "outside", "inside_f", "outside_f",
-        "len_neg", "len_pos", "negated", "empty", "inside_sizes",
-        "gene_mask", "outside_counts", "blackdot_mask",
-        "h_flat", "h_offsets", "inside_rows", "inside_row_offsets",
-    )
-    total = 0
-    for t in tables:
-        if t is None:
-            continue
-        total += sum(int(getattr(t, name).nbytes) for name in legacy_fields)
-    return total
-
-
 def _empty(dtype: np.dtype) -> np.ndarray:
     return np.zeros(0, dtype=dtype)
 
@@ -164,22 +145,64 @@ def _concat(pieces: List[np.ndarray], dtype: np.dtype) -> np.ndarray:
     return np.concatenate([np.ascontiguousarray(p.ravel()) for p in pieces])
 
 
+#: One class's compile output: ``(raw pieces, geometry row, max index,
+#: max weight, culled refs)``, or ``None`` for a class without samples.
+_RawClass = Tuple[
+    Dict[str, np.ndarray], Tuple[int, int, int, int], int, float, int
+]
+
+
+def _pair_weights(
+    inside_f: np.ndarray, outside_f: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(pair_len, pair_neg)`` for every (inside row ``c``, outside row
+    ``h``) pair of two float32 row blocks.
+
+    The pair's shared list is the negated ``h - c`` when that is non-empty,
+    else the fallback ``c - h``: ``pair_neg`` records the form and
+    ``pair_len`` its length (``0`` when both are empty).  One matmul gives
+    ``|c ∩ h|``; every count is a small integer, exact in float32 under any
+    summation order, so a grown dataset's blocks can be computed piecewise
+    (:func:`recompile_delta`) and still match the cold compile byte for
+    byte.
+    """
+    inter = inside_f @ outside_f.T                    # |c ∩ h|
+    len_neg = outside_f.sum(axis=1)[None, :] - inter  # |h - c|
+    pair_neg = len_neg > 0
+    # |c - h| in place of the intersection, then the negated lengths
+    # wherever that form was selected.
+    pair_len = np.subtract(inside_f.sum(axis=1)[:, None], inter, out=inter)
+    np.copyto(pair_len, len_neg, where=pair_neg)
+    return pair_len, pair_neg
+
+
+def _finish_class(
+    raw: Dict[str, np.ndarray], n_c: int, n_o: int, culled_refs: int
+) -> _RawClass:
+    """Attach a class's geometry row and the ranges the dtype guards of
+    :func:`_build_arena` check."""
+    h_len, ir_len = int(raw["h_flat"].size), int(raw["inside_rows"].size)
+    counts, pair_len = raw["outside_counts"], raw["pair_len"]
+    max_index = max(
+        n_c, n_o, h_len, ir_len, int(counts.max()) if counts.size else 0
+    )
+    max_weight = float(pair_len.max()) if pair_len.size else 0.0
+    return raw, (n_c, n_o, h_len, ir_len), max_index, max_weight, culled_refs
+
+
 def _raw_for_class(
-    class_id: int,
     inside: np.ndarray,
     outside: np.ndarray,
-    pair_len: np.ndarray,
-    pair_neg: np.ndarray,
     n_items: int,
     arithmetization: str,
-) -> Tuple[Dict[str, np.ndarray], Tuple[int, int, int, int], int, float, int]:
-    """One class's raw arena pieces from its row blocks and pair weights.
-
-    Returns ``(raw, geometry_row, max_index, max_weight, culled_refs)``.
-    Shared by the cold compile and the delta recompile, so both produce
-    byte-identical per-class members from identical inputs.
-    """
+) -> _RawClass:
+    """One class's raw arena pieces, compiled from its inside and outside
+    row blocks (the cold path; also a previously absent class's first
+    samples in :func:`recompile_delta`)."""
     n_c, n_o = inside.shape[0], outside.shape[0]
+    inside_f = inside.astype(np.float32)
+    outside_f = outside.astype(np.float32)
+    pair_len, pair_neg = _pair_weights(inside_f, outside_f)
     # Value-preserving duplicate cull (min only; see module docstring).
     if arithmetization == "min" and n_o:
         keep = duplicate_row_keep_mask(outside)
@@ -197,34 +220,24 @@ def _raw_for_class(
     gene_mask = inside.any(axis=0)
     ins_gene_ids, inside_rows = np.nonzero(inside.T)
     del ins_gene_ids
-    inside_rows = inside_rows.astype(np.int64)
     inside_row_offsets = np.zeros(n_items + 1, dtype=np.int64)
     np.cumsum(inside.sum(axis=0), out=inside_row_offsets[1:])
-    geometry_row = (n_c, n_o, int(h_ids.size), int(inside_rows.size))
-    max_index = max(
-        n_c,
-        n_o,
-        int(h_ids.size),
-        int(inside_rows.size),
-        int(counts.max()) if counts.size else 0,
-    )
-    max_weight = float(pair_len.max()) if pair_len.size else 0.0
     raw = {
         "inside": inside,
         "outside": outside,
-        "inside_f": inside.astype(np.float32),
-        "outside_f": outside.astype(np.float32),
+        "inside_f": inside_f,
+        "outside_f": outside_f,
         "pair_len": pair_len,
-        "pair_neg": pair_neg.astype(bool, copy=False),
+        "pair_neg": pair_neg,
         "gene_mask": gene_mask,
         "outside_counts": counts,
         "blackdot_mask": gene_mask & (uncull_counts == 0),
         "h_flat": h_ids.astype(np.int64),
         "h_offsets": h_offsets,
-        "inside_rows": inside_rows,
+        "inside_rows": inside_rows.astype(np.int64),
         "inside_row_offsets": inside_row_offsets,
     }
-    return raw, geometry_row, max_index, max_weight, culled_refs
+    return _finish_class(raw, n_c, n_o, culled_refs)
 
 
 def _gene_major_merge(
@@ -237,29 +250,20 @@ def _gene_major_merge(
     """Merge two gene-major CSR id lists into one, per gene: old ids first
     (they are smaller — appended rows take the highest indices), then new.
 
-    Returns ``(flat, counts, offsets)`` with int64 entries; byte-identical
-    to rebuilding the list from the stacked boolean blocks, at O(total
-    entries) scatter cost instead of an O(rows × genes) ``np.nonzero``.
+    Returns ``(flat, counts, offsets)``: ``flat`` keeps ``old_flat``'s
+    (possibly narrow) dtype unless the new ids outgrow it, and equals the
+    list rebuilt from the stacked boolean blocks, at O(total entries) cost
+    instead of an O(rows × genes) ``np.nonzero``: each new id is inserted
+    at the end of its gene's old run.
     """
     counts = old_counts + new_counts
     offsets = np.zeros(n_items, dtype=np.int64)
     if n_items > 1:
         np.cumsum(counts[:-1], out=offsets[1:])
-    flat = np.empty(old_flat.size + new_flat.size, dtype=np.int64)
-    if old_flat.size:
-        old_offsets = np.zeros(n_items, dtype=np.int64)
-        if n_items > 1:
-            np.cumsum(old_counts[:-1], out=old_offsets[1:])
-        dest = np.arange(old_flat.size, dtype=np.int64)
-        dest += np.repeat(offsets - old_offsets, old_counts)
-        flat[dest] = old_flat
-    if new_flat.size:
-        new_offsets = np.zeros(n_items, dtype=np.int64)
-        if n_items > 1:
-            np.cumsum(new_counts[:-1], out=new_offsets[1:])
-        dest = np.arange(new_flat.size, dtype=np.int64)
-        dest += np.repeat(offsets + old_counts - new_offsets, new_counts)
-        flat[dest] = new_flat
+    if new_flat.size and new_flat.max() > np.iinfo(old_flat.dtype).max:
+        old_flat = old_flat.astype(np.int64)
+    old_ends = np.cumsum(old_counts)
+    flat = np.insert(old_flat, np.repeat(old_ends, new_counts), new_flat)
     return flat, counts, offsets
 
 
@@ -267,14 +271,14 @@ def _raw_for_class_delta(
     base: PlanClass,
     new_inside: np.ndarray,
     new_outside: np.ndarray,
-    pair_len: np.ndarray,
-    pair_neg: np.ndarray,
     n_items: int,
     arithmetization: str,
-) -> Tuple[Dict[str, np.ndarray], Tuple[int, int, int, int], int, float, int]:
+) -> _RawClass:
     """The delta counterpart of :func:`_raw_for_class`: rebuild one class's
     raw arena pieces from the base class views plus the appended row blocks.
 
+    The base ``pair_len``/``pair_neg`` block is copied verbatim; only the
+    ``old_c × new_h`` and ``new_c × all_h`` blocks run fresh matmuls.
     Appended rows take the highest indices, so the base per-gene CSR lists
     (culled outside ids, inside rows) are prefixes of the grown ones and
     merge in O(entries); only the appended blocks are scanned with
@@ -292,6 +296,27 @@ def _raw_for_class_delta(
     n_o_old = int(base.outside.shape[0])
     n_c = n_c_old + int(new_inside.shape[0])
     n_o = n_o_old + int(new_outside.shape[0])
+    new_inside_f = new_inside.astype(np.float32)
+    new_outside_f = new_outside.astype(np.float32)
+    pair_len = np.empty((n_c, n_o), dtype=np.float32)
+    pair_neg = np.empty((n_c, n_o), dtype=bool)
+    # Old block: verbatim reuse.  A float64 (wide) base arena holds exactly
+    # the float32-computed source values upcast, so the round trip back to
+    # float32 is lossless.
+    pair_len[:n_c_old, :n_o_old] = base.pair_len
+    pair_neg[:n_c_old, :n_o_old] = base.pair_neg
+    # Fresh blocks, one GEMM per outside block so the stacked outside never
+    # materializes.
+    old_c, new_c = slice(None, n_c_old), slice(n_c_old, None)
+    old_h, new_h = slice(None, n_o_old), slice(n_o_old, None)
+    for rows, cols, inside_f, outside_f in (
+        (old_c, new_h, base.inside_f, new_outside_f),
+        (new_c, old_h, new_inside_f, base.outside_f),
+        (new_c, new_h, new_inside_f, new_outside_f),
+    ):
+        pair_len[rows, cols], pair_neg[rows, cols] = _pair_weights(
+            inside_f, outside_f
+        )
     # The duplicate cull keeps first occurrences, so the grown keep mask
     # restricted to the old rows equals the base cull — which is what
     # makes reusing the base CSR lists below sound.  Only the new rows'
@@ -328,15 +353,6 @@ def _raw_for_class_delta(
     )
     inside_row_offsets = np.zeros(n_items + 1, dtype=np.int64)
     np.cumsum(ins_counts, out=inside_row_offsets[1:])
-    geometry_row = (n_c, n_o, int(h_flat.size), int(inside_rows.size))
-    max_index = max(
-        n_c,
-        n_o,
-        int(h_flat.size),
-        int(inside_rows.size),
-        int(counts.max()) if counts.size else 0,
-    )
-    max_weight = float(pair_len.max()) if pair_len.size else 0.0
     # A gene's culled count is zero iff its uncull count is zero: every
     # culled row duplicates a kept row expressing the same genes, so the
     # cull never empties a gene's list — the blackdot test can read the
@@ -344,10 +360,10 @@ def _raw_for_class_delta(
     raw = {
         "inside": (base.inside, new_inside),
         "outside": (base.outside, new_outside),
-        "inside_f": (base.inside_f, new_inside.astype(np.float32)),
-        "outside_f": (base.outside_f, new_outside.astype(np.float32)),
+        "inside_f": (base.inside_f, new_inside_f),
+        "outside_f": (base.outside_f, new_outside_f),
         "pair_len": pair_len,
-        "pair_neg": pair_neg.astype(bool, copy=False),
+        "pair_neg": pair_neg,
         "gene_mask": gene_mask,
         "outside_counts": counts,
         "blackdot_mask": gene_mask & (counts == 0),
@@ -356,19 +372,31 @@ def _raw_for_class_delta(
         "inside_rows": inside_rows,
         "inside_row_offsets": inside_row_offsets,
     }
-    return raw, geometry_row, max_index, max_weight, culled_refs
+    return _finish_class(raw, n_c, n_o, culled_refs)
 
 
 def _build_arena(
-    raw: Sequence[Optional[Dict[str, np.ndarray]]],
-    geometry: np.ndarray,
+    classes: Sequence[Optional[_RawClass]],
     n_items: int,
-    culled_refs: int,
-    max_index: int,
-    max_weight: float,
+    culled_refs: int = 0,
 ) -> EvaluationPlan:
-    """Dtype guards + per-field concatenation: the shared arena-assembly
-    tail of the cold compile and the delta recompile."""
+    """Geometry, dtype guards and per-field concatenation: the shared
+    arena-assembly tail of the cold compile and the delta recompile.
+    ``culled_refs`` seeds the total with references culled before this
+    compile (the base plan's, on a delta recompile)."""
+    geometry = np.zeros((len(classes), GEOMETRY_COLUMNS), dtype=np.int64)
+    raw: List[Dict[str, np.ndarray]] = []
+    max_index = 0
+    max_weight = 0.0
+    for class_id, compiled in enumerate(classes):
+        if compiled is None:
+            continue
+        pieces, geometry_row, cls_index, cls_weight, cls_culled = compiled
+        geometry[class_id] = geometry_row
+        max_index = max(max_index, cls_index)
+        max_weight = max(max_weight, cls_weight)
+        culled_refs += cls_culled
+        raw.append(pieces)
     # Overflow guards: downcast only when the observed ranges permit.
     if max_index <= INT32_MAX:
         index_dtype = np.dtype(np.int32)
@@ -391,8 +419,6 @@ def _build_arena(
         # here, each block is copied exactly once — into the arena.
         pieces = []
         for r in raw:
-            if r is None:
-                continue
             value = r[name]
             if isinstance(value, tuple):
                 pieces.extend(value)
@@ -417,51 +443,32 @@ def _build_arena(
     )
 
 
-def compile_plan_from_tables(
-    tables: Sequence[Optional[object]],
-    n_items: int,
-    arithmetization: str = "min",
-) -> EvaluationPlan:
-    """Fuse legacy per-class tables into one compiled arena.
+def compile_plan(dataset, arithmetization: str = "min") -> EvaluationPlan:
+    """Compile a dataset's evaluation plan straight from each class's
+    inside and outside row blocks.
 
-    ``tables`` is a sequence of ``_ClassTables``-shaped objects (duck
-    typed: ``inside``/``outside``/``len_neg``/``len_pos``/``negated``
-    attributes) or ``None`` for absent classes.  Deterministic: the same
-    tables always compile to byte-identical arenas.
+    ``dataset`` needs ``bool_matrix``, ``label_array`` and ``n_classes``
+    (a :class:`~repro.datasets.dataset.RelationalDataset`).  A class
+    without training samples gets a zero geometry row and no views.
+    Deterministic: the same dataset always compiles to a byte-identical
+    arena, and so does :func:`recompile_delta` over an append-only growth.
     """
-    n_classes = len(tables)
-    geometry = np.zeros((n_classes, GEOMETRY_COLUMNS), dtype=np.int64)
-    raw: List[Optional[Dict[str, np.ndarray]]] = []
-    culled_refs = 0
-    max_index = 0
-    max_weight = 0.0
-    for class_id, t in enumerate(tables):
-        if t is None:
-            raw.append(None)
+    matrix = dataset.bool_matrix
+    labels = dataset.label_array
+    n_items = int(matrix.shape[1])
+    classes: List[Optional[_RawClass]] = []
+    for class_id in range(dataset.n_classes):
+        member_mask = labels == class_id
+        if not member_mask.any():
+            classes.append(None)
             continue
-        inside = np.asarray(t.inside, dtype=bool)
-        outside = np.asarray(t.outside, dtype=bool)
-        negated = np.asarray(t.negated)
-        # Keep the source precision here; the cast to the plan's weight
-        # dtype happens once, at arena build, after the overflow guard has
-        # seen the true maximum.
-        pair_len = np.where(
-            negated, np.asarray(t.len_neg), np.asarray(t.len_pos)
-        )
-        pieces, geometry_row, cls_index, cls_weight, cls_culled = (
+        classes.append(
             _raw_for_class(
-                class_id, inside, outside, pair_len,
-                negated.astype(bool, copy=False), n_items, arithmetization,
+                matrix[member_mask], matrix[~member_mask], n_items,
+                arithmetization,
             )
         )
-        geometry[class_id] = geometry_row
-        max_index = max(max_index, cls_index)
-        max_weight = max(max_weight, cls_weight)
-        culled_refs += cls_culled
-        raw.append(pieces)
-    return _build_arena(
-        raw, geometry, n_items, culled_refs, max_index, max_weight
-    )
+    return _build_arena(classes, n_items)
 
 
 def recompile_delta(
@@ -479,7 +486,7 @@ def recompile_delta(
     ``old_c × new_h`` and ``new_c × all_h`` blocks run fresh matmuls.
     The dominant cost drops from O(n² × genes) to O(n × Δ × genes) for a
     Δ-row append, and the result is **byte-identical** to
-    :func:`compile_plan_from_tables` over cold-built tables of the grown
+    :func:`compile_plan` over the grown
     dataset (equivalence-gated in tests and ``bench_micro``): appended
     rows take the highest indices, so class member order, outside order,
     gene-major CSR order, and the duplicate-cull keep mask of old rows
@@ -515,17 +522,7 @@ def recompile_delta(
     old_labels = labels[:old_n]
     new_rows = matrix[old_n:]
     new_labels = labels[old_n:]
-    geometry = np.zeros(
-        (base_plan.n_classes, GEOMETRY_COLUMNS), dtype=np.int64
-    )
-    raw: List[Optional[Dict[str, np.ndarray]]] = []
-    # Delta classes report only the references culled from their appended
-    # rows (the prefix-stable cull leaves the base contribution intact);
-    # cold classes — absent from the base plan, so charged 0 there — still
-    # report their full count.
-    culled_refs = base_plan.culled_refs
-    max_index = 0
-    max_weight = 0.0
+    classes: List[Optional[_RawClass]] = []
     for class_id in range(base_plan.n_classes):
         pc = base_plan.classes[class_id]
         member_mask = new_labels == class_id
@@ -539,110 +536,53 @@ def recompile_delta(
                     " is not an append-only extension of the plan's"
                     " training data"
                 )
-            inside = new_inside
-            if inside.shape[0] == 0:
-                raw.append(None)
+            if new_inside.shape[0] == 0:
+                classes.append(None)
                 continue
-            # First samples of a previously-absent class: cold build, but
-            # the matmul is (Δ_c × genes) @ (genes × n_o) — delta-sized.
-            outside = matrix[labels != class_id]
-            ins_f = inside.astype(np.float32)
-            outs_f = outside.astype(np.float32)
-            inter = ins_f @ outs_f.T
-            len_neg = outs_f.sum(axis=1)[None, :] - inter
-            len_pos = ins_f.sum(axis=1)[:, None] - inter
-            pair_neg = len_neg > 0
-            pair_len = np.where(pair_neg, len_neg, len_pos)
-        else:
-            n_c_old = int(pc.inside.shape[0])
-            n_o_old = int(pc.outside.shape[0])
-            if (
-                n_c_old != int((old_labels == class_id).sum())
-                or n_o_old != old_n - n_c_old
-            ):
-                raise ValueError(
-                    f"class {class_id}: base plan geometry does not match"
-                    f" the first {old_n} rows of the dataset"
-                )
-            # Content check: every class's stored member rows must equal
-            # the dataset's prefix members verbatim (which, across all
-            # classes, pins every old row and label — the outside blocks
-            # follow).  One O(old rows × genes) memcmp-speed pass; without
-            # it a reordered or edited dataset would silently inherit the
-            # base arena's weights.
-            if not np.array_equal(
-                pc.inside, matrix[:old_n][old_labels == class_id]
-            ):
-                raise ValueError(
-                    f"class {class_id}: the first {old_n} dataset rows do"
-                    " not reproduce the base plan's training rows — dataset"
-                    " is not an append-only extension of the plan's"
-                    " training data"
-                )
-            n_c = n_c_old + int(new_inside.shape[0])
-            n_o = n_o_old + int(new_outside.shape[0])
-            pair_len = np.empty((n_c, n_o), dtype=np.float32)
-            pair_neg = np.empty((n_c, n_o), dtype=bool)
-            # Old block: verbatim reuse.  A float64 (wide) base arena holds
-            # exactly the float32-computed source values upcast, so the
-            # round trip back to float32 is lossless.
-            pair_len[:n_c_old, :n_o_old] = pc.pair_len
-            pair_neg[:n_c_old, :n_o_old] = pc.pair_neg
-            new_outs_f = new_outside.astype(np.float32)
-            if n_o > n_o_old:
-                # old_c × new_h: the base class rows against appended
-                # outside rows.
-                inter = pc.inside_f @ new_outs_f.T
-                len_neg = new_outs_f.sum(axis=1)[None, :] - inter
-                len_pos = pc.inside_f.sum(axis=1)[:, None] - inter
-                neg = len_neg > 0
-                pair_len[:n_c_old, n_o_old:] = np.where(
-                    neg, len_neg, len_pos
-                )
-                pair_neg[:n_c_old, n_o_old:] = neg
-            if n_c > n_c_old:
-                # new_c × all_h, one GEMM per outside block so the stacked
-                # outside never materializes.  Splitting the product along
-                # its columns is bit-identical to the fused form: every
-                # accumulated value is a small integer (< 2**24), exact in
-                # float32 under any summation order.
-                new_ins_f = new_inside.astype(np.float32)
-                ins_sizes = new_ins_f.sum(axis=1)[:, None]
-                col0 = 0
-                for outs_f in (pc.outside_f, new_outs_f):
-                    col1 = col0 + int(outs_f.shape[0])
-                    inter = new_ins_f @ outs_f.T
-                    len_neg = outs_f.sum(axis=1)[None, :] - inter
-                    len_pos = ins_sizes - inter
-                    neg = len_neg > 0
-                    pair_len[n_c_old:, col0:col1] = np.where(
-                        neg, len_neg, len_pos
-                    )
-                    pair_neg[n_c_old:, col0:col1] = neg
-                    col0 = col1
-        if pc is None:
-            pieces, geometry_row, cls_index, cls_weight, cls_culled = (
+            # First samples of a previously-absent class: a cold build,
+            # whose (Δ_c × genes) @ (genes × n_o) matmul is delta-sized.
+            # It reports its full culled count (the base plan charged it 0).
+            classes.append(
                 _raw_for_class(
-                    class_id, inside, outside, pair_len, pair_neg,
-                    n_items, arithmetization,
+                    new_inside, matrix[labels != class_id], n_items,
+                    arithmetization,
                 )
             )
-        else:
-            pieces, geometry_row, cls_index, cls_weight, cls_culled = (
-                _raw_for_class_delta(
-                    pc, new_inside, new_outside, pair_len, pair_neg,
-                    n_items, arithmetization,
-                )
+            continue
+        n_c_old = int(pc.inside.shape[0])
+        n_o_old = int(pc.outside.shape[0])
+        if (
+            n_c_old != int((old_labels == class_id).sum())
+            or n_o_old != old_n - n_c_old
+        ):
+            raise ValueError(
+                f"class {class_id}: base plan geometry does not match"
+                f" the first {old_n} rows of the dataset"
             )
-        geometry[class_id] = geometry_row
-        max_index = max(max_index, cls_index)
-        max_weight = max(max_weight, cls_weight)
-        culled_refs += cls_culled
-        raw.append(pieces)
+        # Content check: every class's stored member rows must equal the
+        # dataset's prefix members verbatim (which, across all classes,
+        # pins every old row and label — the outside blocks follow).  One
+        # O(old rows × genes) memcmp-speed pass; without it a reordered or
+        # edited dataset would silently inherit the base arena's weights.
+        if not np.array_equal(
+            pc.inside, matrix[:old_n][old_labels == class_id]
+        ):
+            raise ValueError(
+                f"class {class_id}: the first {old_n} dataset rows do"
+                " not reproduce the base plan's training rows — dataset"
+                " is not an append-only extension of the plan's"
+                " training data"
+            )
+        # Delta classes report only the references culled from their
+        # appended rows; the prefix-stable cull leaves the base
+        # contribution intact.
+        classes.append(
+            _raw_for_class_delta(
+                pc, new_inside, new_outside, n_items, arithmetization
+            )
+        )
     engine_counters.increment("plan_delta_recompiles")
-    return _build_arena(
-        raw, geometry, n_items, culled_refs, max_index, max_weight
-    )
+    return _build_arena(classes, n_items, base_plan.culled_refs)
 
 
 def _field_size(name: str, n_c: int, n_o: int, h_len: int, ir_len: int,
@@ -684,7 +624,7 @@ def plan_from_arena(
 ) -> EvaluationPlan:
     """Rebuild the per-class views over a (possibly memory-mapped) arena.
 
-    The inverse of the flattening in :func:`compile_plan_from_tables` and
+    The inverse of the flattening in :func:`compile_plan` and
     the zero-copy load path behind artifact format v2: every
     :class:`PlanClass` array is a plain ``ndarray`` slice of the
     corresponding arena member, so a memory-mapped member is read in place
@@ -761,23 +701,26 @@ class CellStream:
     ``cell_row·n_o + h`` over the outside rows ``h`` expressing its gene,
     in the plan's (culled) ``h_flat`` order, so a query's cell values are
     one gather from its ``(n_c·n_o)`` pair values plus one segment
-    reduction.  Never stored in an artifact: it is rebuilt from the plan
-    on an evaluator's first batched query.
+    reduction.  Never stored in an artifact: an evaluator builds it from
+    the plan the first time a block of queries takes the kernel's
+    whole-stream method for the class.
     """
 
     cell_gene: np.ndarray   # int32 (n_cells,)
     cell_row: np.ndarray    # int32 (n_cells,)
     cell_start: np.ndarray  # int64 (n_cells,): first element of each cell
     cell_len: np.ndarray    # int64 (n_cells,): elements per cell (>= 1)
-    elem: np.ndarray        # int32, int64 if n_c·n_o > INT32_MAX: (n_elems,)
-    gene_cells: np.ndarray  # int64 (n_items,): first cell of each gene
-    gene_cell_len: np.ndarray  # int64 (n_items,): cells per gene
-    gene_elems: np.ndarray  # int64 (n_items,): first element of each gene
-    gene_elem_len: np.ndarray  # int64 (n_items,): elements per gene
+    elem: np.ndarray        # address_dtype(n_c, n_o): (n_elems,)
 
     @property
     def n_elems(self) -> int:
         return int(self.elem.size)
+
+
+def address_dtype(n_c: int, n_o: int) -> np.dtype:
+    """Dtype of a flat ``row·n_o + h`` pair-value address: int32 unless
+    ``n_c·n_o`` passes :data:`INT32_MAX`."""
+    return np.dtype(np.int32 if n_c * n_o - 1 <= INT32_MAX else np.int64)
 
 
 def _offsets(lengths: np.ndarray) -> np.ndarray:
@@ -802,9 +745,6 @@ def build_cell_stream(pc: PlanClass) -> CellStream:
     cell_row = np.asarray(pc.inside_rows)[keep].astype(np.int64)
     cell_len = counts[cell_gene]
     cell_start = _offsets(cell_len)
-    gene_cell_len = np.where(counts > 0, rows, 0)
-    gene_elem_len = gene_cell_len * counts
-    elem_dtype = np.int32 if n_c * n_o - 1 <= INT32_MAX else np.int64
     # Element e of a cell reads h_flat at its gene's offset plus e's place
     # in the cell.
     h_base = np.asarray(pc.h_offsets, dtype=np.int64)[cell_gene] - cell_start
@@ -812,7 +752,7 @@ def build_cell_stream(pc: PlanClass) -> CellStream:
     pos += np.repeat(h_base, cell_len)
     elem = np.repeat(cell_row * n_o, cell_len)
     elem += np.asarray(pc.h_flat)[pos]
-    elem = elem.astype(elem_dtype, copy=False)
+    elem = elem.astype(address_dtype(n_c, n_o), copy=False)
     engine_counters.increment("plan_stream_builds")
     return CellStream(
         cell_gene=cell_gene.astype(np.int32),
@@ -820,8 +760,4 @@ def build_cell_stream(pc: PlanClass) -> CellStream:
         cell_start=cell_start,
         cell_len=cell_len,
         elem=elem,
-        gene_cells=_offsets(gene_cell_len),
-        gene_cell_len=gene_cell_len,
-        gene_elems=_offsets(gene_elem_len),
-        gene_elem_len=gene_elem_len,
     )

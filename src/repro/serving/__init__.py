@@ -4,7 +4,7 @@ The production-facing composition of the repository's fast pieces, bottom
 up:
 
 * :func:`repro.core.artifact.load_artifact` restores a fitted evaluator
-  with zero table rebuild (memmapped, integrity-verified);
+  with zero recompilation (memmapped, integrity-verified);
 * :class:`PredictionService` multiplexes concurrent single-query callers
   onto the batched BSTCE kernel — per-request deadlines, load shedding,
   poison-query isolation, supervised worker restarts, circuit breaker —

@@ -157,18 +157,21 @@ class TestValidation:
             load_artifact(stripped)
 
     def test_unknown_format_version(self, tmp_path, example):
+        # A future version and the retired v1 table layout are both refused;
+        # the message says how to get a loadable artifact back.
         evaluator = FastBSTCEvaluator(example)
         path = save_artifact(evaluator, tmp_path / "m.npz")
         with np.load(path) as npz:
             arrays = {k: npz[k] for k in npz.files}
-        arrays["meta_format_version"] = np.array(
-            ARTIFACT_FORMAT_VERSION + 1, dtype=np.int64
-        )
-        future = tmp_path / "future.npz"
-        with future.open("wb") as handle:
-            np.savez(handle, **arrays)
-        with pytest.raises(ArtifactError, match="format version"):
-            load_artifact(future)
+        for version in (ARTIFACT_FORMAT_VERSION + 1, 1):
+            arrays["meta_format_version"] = np.array(version, dtype=np.int64)
+            other = tmp_path / f"v{version}.npz"
+            with other.open("wb") as handle:
+                np.savez(handle, **arrays)
+            with pytest.raises(
+                ArtifactError, match=f"format version {version} .*refit"
+            ):
+                load_artifact(other)
 
     def test_fingerprint_mismatch(self, tmp_path, example):
         evaluator = FastBSTCEvaluator(example)

@@ -1,6 +1,7 @@
-"""Compiled evaluation plans: bit-identity vs the legacy kernel, the
-duplicate-row cull, dtype-downcast overflow guards, arena structure, the
-v1 artifact fallback, and the cell-stream kernel's differential tests."""
+"""Compiled evaluation plans: the kernel against the paper-literal oracle
+and against itself (bit for bit), the duplicate-row cull, dtype-downcast
+overflow guards, arena structure, and the cell-stream kernel's
+differential tests."""
 
 import threading
 import warnings
@@ -10,20 +11,23 @@ import pytest
 
 from conftest import random_relational
 from repro.bst.culling import duplicate_row_keep_mask
+from repro.bst.table import build_all_bsts
 from repro.core.arithmetization import COMBINERS
 from repro.core.artifact import load_artifact, save_artifact
+from repro.core.bstce import bstce
 from repro.core.classifier import BSTClassifier
-from repro.core.fast import FastBSTCEvaluator, _class_tables_for, clear_evaluator_cache
+from repro.core.fast import FastBSTCEvaluator, clear_evaluator_cache
 from repro.core import fast as fast_module
 from repro.core import plan as plan_module
-from repro.core.plan import (
-    ARENA_FIELDS,
-    FLOAT32_EXACT_MAX,
-    compile_plan_from_tables,
-    tables_hot_nbytes,
-)
+from repro.core.plan import ARENA_FIELDS, FLOAT32_EXACT_MAX
 from repro.datasets.dataset import RelationalDataset
 from repro.evaluation.timing import engine_counters
+
+#: Oracle agreement bounds.  Under ``min`` each kernel value is a mean of
+#: correctly rounded float32 quotients of exact integer counts, so it sits
+#: within one float32 rounding (2**-24) of the oracle's float64 value;
+#: ``product`` and ``mean`` also round inside their float32 reductions.
+ORACLE_TOLERANCE = {"min": 2.0**-24, "product": 1e-5, "mean": 1e-5}
 
 
 @pytest.fixture(autouse=True)
@@ -50,45 +54,63 @@ def _with_duplicates(rng, n_samples=10, n_items=16, n_classes=3):
             )
 
 
+def _assert_matches_oracle(rows, dataset, arithmetization, queries):
+    """Kernel rows against :func:`repro.core.bstce.bstce` on every class."""
+    bsts = build_all_bsts(dataset)
+    expected = np.array([
+        [
+            bstce(bst, frozenset(np.flatnonzero(q).tolist()), arithmetization)
+            for bst in bsts
+        ]
+        for q in queries
+    ])
+    np.testing.assert_allclose(
+        rows, expected, rtol=0, atol=ORACLE_TOLERANCE[arithmetization]
+    )
+
+
+def _single_rows(evaluator, queries):
+    """Each query alone: a batch of one through ``classification_values``."""
+    return np.stack([evaluator.classification_values(q) for q in queries])
+
+
+def _unculled_evaluator(dataset, arithmetization):
+    """The same plan compiled with the duplicate-row cull switched off."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            plan_module,
+            "duplicate_row_keep_mask",
+            lambda rows: np.ones(rows.shape[0], dtype=bool),
+        )
+        return FastBSTCEvaluator(dataset, arithmetization)
+
+
 class TestBitIdentity:
-    """The compiled plan must reproduce the legacy kernel bit for bit —
-    not approximately — across arithmetizations, batch sizes, sparsity
-    regimes, and culled duplicate rows."""
+    """The plan kernel agrees with the oracle within the stated bound, and
+    with itself bit for bit — not approximately — across batch sizes,
+    sparsity regimes and culled duplicate rows."""
 
     @pytest.mark.parametrize("arithmetization", sorted(COMBINERS))
     def test_random_datasets(self, arithmetization):
         rng = np.random.default_rng(42)
         for _ in range(8):
             dataset = random_relational(rng)
-            legacy = FastBSTCEvaluator(
-                dataset, arithmetization, compile_plan=False
-            )
             planned = FastBSTCEvaluator(dataset, arithmetization)
             queries = rng.random((17, dataset.n_items)) < rng.uniform(0.1, 0.7)
-            assert np.array_equal(
-                legacy.classification_values_batch(queries),
-                planned.classification_values_batch(queries),
-            )
-            for query in queries[:3]:
-                assert np.array_equal(
-                    legacy.classification_values(query),
-                    planned.classification_values(query),
-                )
+            rows = planned.classification_values_batch(queries)
+            _assert_matches_oracle(rows, dataset, arithmetization, queries)
+            assert np.array_equal(rows, _single_rows(planned, queries))
 
     @pytest.mark.parametrize("arithmetization", sorted(COMBINERS))
     def test_duplicate_rows(self, arithmetization):
         rng = np.random.default_rng(7)
         for _ in range(5):
             dataset = _with_duplicates(rng)
-            legacy = FastBSTCEvaluator(
-                dataset, arithmetization, compile_plan=False
-            )
             planned = FastBSTCEvaluator(dataset, arithmetization)
             queries = rng.random((9, dataset.n_items)) < 0.5
-            assert np.array_equal(
-                legacy.classification_values_batch(queries),
-                planned.classification_values_batch(queries),
-            )
+            rows = planned.classification_values_batch(queries)
+            _assert_matches_oracle(rows, dataset, arithmetization, queries)
+            assert np.array_equal(rows, _single_rows(planned, queries))
 
     def test_sparse_serving_queries(self):
         # Wide vocabulary + sparse queries drives the per-query restricted
@@ -100,18 +122,17 @@ class TestBitIdentity:
         dataset = RelationalDataset.from_bool_matrix(
             matrix, labels.tolist(), class_names=["a", "b", "c"]
         )
-        legacy = FastBSTCEvaluator(dataset, compile_plan=False)
         planned = FastBSTCEvaluator(dataset)
         queries = rng.random((32, 600)) < 0.02  # ~12 genes per query
-        assert np.array_equal(
-            legacy.classification_values_batch(queries),
-            planned.classification_values_batch(queries),
-        )
-        # Dense batch takes the stacked path; also bit-identical.
+        rows = planned.classification_values_batch(queries)
+        assert np.array_equal(rows, _single_rows(planned, queries))
+        _assert_matches_oracle(rows[:4], dataset, "min", queries[:4])
+        # A dense batch takes the stacked full-width matmul; each row still
+        # equals its query's batch of one (the restricted path).
         dense = rng.random((8, 600)) < 0.6
         assert np.array_equal(
-            legacy.classification_values_batch(dense),
             planned.classification_values_batch(dense),
+            _single_rows(planned, dense),
         )
 
 
@@ -129,11 +150,13 @@ class TestCulling:
         dataset = _with_duplicates(rng)
         planned = FastBSTCEvaluator(dataset, "min")
         assert planned.plan.culled_refs > 0
-        # The culled stream must still produce bit-identical values.
-        legacy = FastBSTCEvaluator(dataset, "min", compile_plan=False)
+        # The culled stream must produce the unculled plan's values bit for
+        # bit: duplicates carry identical pair values and min is idempotent.
+        unculled = _unculled_evaluator(dataset, "min")
+        assert unculled.plan.culled_refs == 0
         queries = rng.random((8, dataset.n_items)) < 0.5
         assert np.array_equal(
-            legacy.classification_values_batch(queries),
+            unculled.classification_values_batch(queries),
             planned.classification_values_batch(queries),
         )
 
@@ -159,8 +182,8 @@ class TestCulling:
         )
 
     def test_explain_identical_under_culling(self):
-        # The satellite check: a culled plan serves the same classification
-        # values, so the explanation machinery reports identical evidence.
+        # A culled plan serves the same classification values, so the
+        # explanation machinery reports identical evidence.
         rng = np.random.default_rng(19)
         dataset = _with_duplicates(rng)
         clf = BSTClassifier().fit(dataset)
@@ -168,15 +191,14 @@ class TestCulling:
         query = frozenset(
             int(i) for i in np.flatnonzero(rng.random(dataset.n_items) < 0.5)
         )
-        explained_plan = clf.explain(query)
-        legacy = FastBSTCEvaluator(dataset, compile_plan=False)
+        explained_culled = clf.explain(query)
         original_fast = clf._fast
         try:
-            clf._fast = legacy
-            explained_legacy = clf.explain(query)
+            clf._fast = _unculled_evaluator(dataset, "min")
+            explained_unculled = clf.explain(query)
         finally:
             clf._fast = original_fast
-        assert explained_plan == explained_legacy
+        assert explained_culled == explained_unculled
 
 
 class TestDowncastGuards:
@@ -202,72 +224,74 @@ class TestDowncastGuards:
     def test_wide_index_fallback(self, monkeypatch):
         # Force the guard: with the int32 ceiling lowered to zero, every
         # index lands in the wide dtype (counted), and the kernel output is
-        # still bit-identical — the fallback is a widening, never a wrap.
+        # the int32 plan's bit for bit — the fallback is a widening, never
+        # a wrap.
         rng = np.random.default_rng(29)
         dataset = random_relational(rng)
+        narrow = FastBSTCEvaluator(dataset)
         monkeypatch.setattr(plan_module, "INT32_MAX", 0)
         before = engine_counters.get("plan_wide_index_fallbacks")
         planned = FastBSTCEvaluator(dataset)
         assert planned.plan.index_dtype == np.dtype(np.int64)
         assert engine_counters.get("plan_wide_index_fallbacks") == before + 1
         monkeypatch.undo()
-        legacy = FastBSTCEvaluator(dataset, compile_plan=False)
         queries = rng.random((9, dataset.n_items)) < 0.4
         assert np.array_equal(
-            legacy.classification_values_batch(queries),
+            narrow.classification_values_batch(queries),
             planned.classification_values_batch(queries),
         )
 
-    def test_wide_weight_fallback_preserves_large_lengths(self):
-        # Pair lengths past 2**24 would silently round in float32; the
-        # compiler must store them in float64 instead, exactly.
+    def test_wide_weight_fallback_preserves_large_lengths(self, monkeypatch):
+        # Pair lengths past the float32-exact ceiling must be stored in
+        # float64, exactly, instead of silently rounding.  The ceiling is
+        # lowered so ordinary lengths cross it; the wide plan then holds
+        # the narrow plan's lengths unchanged and answers bit for bit.
         rng = np.random.default_rng(31)
         dataset = random_relational(rng)
-        matrix = dataset.bool_matrix
-        labels = dataset.label_array
-        tables = []
-        big = float(FLOAT32_EXACT_MAX) + 3.0  # not float32-representable
-        for class_id in range(dataset.n_classes):
-            member = labels == class_id
-            t = _class_tables_for(
-                class_id, matrix[member], matrix[~member], dataset.n_items
-            )
-            t.len_pos = t.len_pos.astype(np.float64) + big
-            t.len_neg = t.len_neg.astype(np.float64) + big
-            tables.append(t)
+        narrow = FastBSTCEvaluator(dataset)
+        monkeypatch.setattr(plan_module, "FLOAT32_EXACT_MAX", 1)
         before = engine_counters.get("plan_wide_float_fallbacks")
-        plan = compile_plan_from_tables(tables, dataset.n_items, "min")
-        assert plan.weight_dtype == np.dtype(np.float64)
+        wide = FastBSTCEvaluator(dataset)
+        monkeypatch.undo()
+        assert wide.plan.weight_dtype == np.dtype(np.float64)
         assert engine_counters.get("plan_wide_float_fallbacks") == before + 1
-        pc = plan.classes[0]
-        expected = np.where(
-            tables[0].negated, tables[0].len_neg, tables[0].len_pos
+        assert wide.plan.arena["pair_len"].max() > 1
+        assert np.array_equal(
+            wide.plan.arena["pair_len"],
+            narrow.plan.arena["pair_len"].astype(np.float64),
         )
-        assert np.array_equal(np.asarray(pc.pair_len), expected)
-        # The same values forced through float32 would NOT round-trip —
-        # i.e. the narrow dtype really would have been lossy here.
-        assert not np.array_equal(
-            expected.astype(np.float32).astype(np.float64), expected
+        queries = rng.random((9, dataset.n_items)) < 0.4
+        assert np.array_equal(
+            narrow.classification_values_batch(queries),
+            wide.classification_values_batch(queries),
         )
 
     @pytest.mark.parametrize("arithmetization", sorted(COMBINERS))
     def test_fused_pair_weights_match_legacy(self, arithmetization):
-        # pair_len/pair_neg must encode exactly the legacy selection:
-        # negated -> len_neg, positive -> len_pos, empty -> 0.
+        # pair_len/pair_neg must encode exactly the list-selection rule the
+        # fused weights replaced, counted here from the row sets: the
+        # negated list h - c when non-empty, else the fallback c - h, and
+        # length 0 when both are empty.
         rng = np.random.default_rng(37)
         dataset = random_relational(rng)
-        legacy = FastBSTCEvaluator(
-            dataset, arithmetization, compile_plan=False
-        )
         planned = FastBSTCEvaluator(dataset, arithmetization)
-        for t, pc in zip(legacy._tables, planned.plan.classes):
-            if t is None:
-                assert pc is None
-                continue
-            expected = np.where(t.negated, t.len_neg, t.len_pos)
-            expected[t.empty] = 0.0
-            assert np.array_equal(np.asarray(pc.pair_len), expected)
-            assert np.array_equal(np.asarray(pc.pair_neg), t.negated)
+        labels = dataset.label_array
+        for class_id, pc in enumerate(planned.plan.classes):
+            assert pc is not None
+            inside = np.flatnonzero(labels == class_id)
+            outside = np.flatnonzero(labels != class_id)
+            neg = np.array([
+                [len(dataset.samples[h] - dataset.samples[c]) for h in outside]
+                for c in inside
+            ])
+            pos = np.array([
+                [len(dataset.samples[c] - dataset.samples[h]) for h in outside]
+                for c in inside
+            ]).reshape(neg.shape)
+            assert np.array_equal(np.asarray(pc.pair_neg), neg > 0)
+            assert np.array_equal(
+                np.asarray(pc.pair_len), np.where(neg > 0, neg, pos)
+            )
 
 
 class TestArenaStructure:
@@ -295,49 +319,10 @@ class TestArenaStructure:
         assert plan.classes[1] is None
         assert tuple(plan.geometry[1]) == (0, 0, 0, 0)
 
-    def test_plan_is_smaller_than_tables(self):
-        # The bytes-per-query reduction the bench gates: fused pair weights
-        # + downcast indices + the dropped inside_sizes field must shrink
-        # the kernel-hot footprint.
-        rng = np.random.default_rng(43)
-        matrix = rng.random((40, 300)) < 0.3
-        labels = rng.integers(0, 3, 40)
-        labels[:3] = (0, 1, 2)
-        dataset = RelationalDataset.from_bool_matrix(
-            matrix, labels.tolist(), class_names=["a", "b", "c"]
-        )
-        legacy = FastBSTCEvaluator(dataset, compile_plan=False)
-        planned = FastBSTCEvaluator(dataset)
-        assert planned.plan.hot_nbytes() < tables_hot_nbytes(legacy._tables)
-
-    def test_legacy_evaluator_compiles_plan_on_demand(self):
-        rng = np.random.default_rng(47)
-        dataset = random_relational(rng)
-        legacy = FastBSTCEvaluator(dataset, compile_plan=False)
-        assert legacy.plan is None
-        compiled = legacy._ensure_plan()
-        assert legacy.plan is compiled
-        # Dispatch still prefers the legacy tables (the bench baseline must
-        # not silently switch kernels after a save).
-        assert legacy._per_class() is legacy._tables
-
 
 class TestArtifactV1Fallback:
-    def test_v1_round_trip_warns_and_recompiles(self, tmp_path):
-        rng = np.random.default_rng(53)
-        dataset = _with_duplicates(rng)
-        evaluator = FastBSTCEvaluator(dataset)
-        path = save_artifact(evaluator, tmp_path / "m1.npz", format_version=1)
-        before = engine_counters.get("artifact_v1_recompiles")
-        with pytest.warns(DeprecationWarning, match="format v1"):
-            loaded = load_artifact(path)
-        assert engine_counters.get("artifact_v1_recompiles") == before + 1
-        assert loaded.plan is not None
-        queries = rng.random((8, dataset.n_items)) < 0.4
-        assert np.array_equal(
-            evaluator.classification_values_batch(queries),
-            loaded.classification_values_batch(queries),
-        )
+    """Format v1 artifacts are refused (``test_artifact.py::
+    test_unknown_format_version``); the current format loads silently."""
 
     def test_v2_round_trip_does_not_warn(self, tmp_path):
         rng = np.random.default_rng(59)
@@ -349,39 +334,15 @@ class TestArtifactV1Fallback:
             loaded = load_artifact(path)
         assert loaded.plan.culled_refs == evaluator.plan.culled_refs
 
-    def test_v1_from_plan_only_evaluator(self, tmp_path):
-        # A plan-only (artifact-loaded) evaluator can still export v1: the
-        # legacy tables are rebuilt from the arena's row blocks.
-        rng = np.random.default_rng(61)
-        dataset = random_relational(rng)
-        first = save_artifact(
-            FastBSTCEvaluator(dataset), tmp_path / "a.npz"
+
+def _reference_rows(dataset, arithmetization, queries):
+    """The exact in-kernel reference: each query alone (a batch of one),
+    its cells picked by the whole-stream gather."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fast_module, "_WHOLE_STREAM_SHARE", 10**12)
+        return _single_rows(
+            FastBSTCEvaluator(dataset, arithmetization), queries
         )
-        loaded = load_artifact(first)
-        assert loaded._tables is None
-        second = save_artifact(loaded, tmp_path / "b.npz", format_version=1)
-        with pytest.warns(DeprecationWarning):
-            reloaded = load_artifact(second)
-        queries = rng.random((6, dataset.n_items)) < 0.4
-        assert np.array_equal(
-            loaded.classification_values_batch(queries),
-            reloaded.classification_values_batch(queries),
-        )
-
-    def test_unknown_format_version_rejected(self, tmp_path):
-        rng = np.random.default_rng(67)
-        dataset = random_relational(rng)
-        with pytest.raises(ValueError, match="format_version"):
-            save_artifact(
-                FastBSTCEvaluator(dataset), tmp_path / "x.npz",
-                format_version=3,
-            )
-
-
-def _legacy_rows(dataset, arithmetization, queries):
-    """The reference: the legacy tables' ``_class_values_block`` kernel."""
-    legacy = FastBSTCEvaluator(dataset, arithmetization, compile_plan=False)
-    return legacy.classification_values_batch(queries)
 
 
 def _wide_dataset(seed, n_samples=60, n_items=300, n_classes=3, density=0.35):
@@ -412,8 +373,9 @@ def selection_mode(request, monkeypatch):
 
 
 class TestCellStreamKernel:
-    """The cell-stream plan kernel against the legacy ``_class_values_block``
-    reference, compared with ``np.array_equal`` (bit for bit)."""
+    """The cell-stream plan kernel, under each cell-selection method and
+    batch size, against :func:`_reference_rows` — compared with
+    ``np.array_equal`` (bit for bit) — and, on a subset, the oracle."""
 
     @pytest.mark.parametrize("arithmetization", sorted(COMBINERS))
     @pytest.mark.parametrize("n_queries", [1, 2, 64, 65])
@@ -427,10 +389,14 @@ class TestCellStreamKernel:
         density = np.resize([0.02, 0.1, 0.5, 0.9], n_queries)
         queries = rng.random((n_queries, dataset.n_items)) < density[:, None]
         planned = FastBSTCEvaluator(dataset, arithmetization)
+        rows = planned.classification_values_batch(queries)
         assert np.array_equal(
-            planned.classification_values_batch(queries),
-            _legacy_rows(dataset, arithmetization, queries),
+            rows, _reference_rows(dataset, arithmetization, queries)
         )
+        if selection_mode == "auto" and n_queries == 2:
+            # The oracle is slow on this profile: one sparse pair of
+            # queries per arithmetization.
+            _assert_matches_oracle(rows, dataset, arithmetization, queries)
 
     @pytest.mark.parametrize("arithmetization", sorted(COMBINERS))
     def test_random_datasets(self, arithmetization, selection_mode):
@@ -438,12 +404,14 @@ class TestCellStreamKernel:
         for _ in range(6):
             dataset = _with_duplicates(rng)
             queries = rng.random((9, dataset.n_items)) < rng.uniform(0.1, 0.8)
+            rows = FastBSTCEvaluator(
+                dataset, arithmetization
+            ).classification_values_batch(queries)
             assert np.array_equal(
-                FastBSTCEvaluator(
-                    dataset, arithmetization
-                ).classification_values_batch(queries),
-                _legacy_rows(dataset, arithmetization, queries),
+                rows, _reference_rows(dataset, arithmetization, queries)
             )
+            if selection_mode == "auto":
+                _assert_matches_oracle(rows, dataset, arithmetization, queries)
 
     def test_density_picks_each_selection_method(self, monkeypatch):
         calls = {"_stream_cells": 0, "_run_cells": 0}
@@ -463,7 +431,7 @@ class TestCellStreamKernel:
             queries = rng.random((4, dataset.n_items)) < density
             assert np.array_equal(
                 planned.classification_values_batch(queries),
-                _legacy_rows(dataset, "min", queries),
+                _reference_rows(dataset, "min", queries),
             )
             assert calls[method] > before[method]
 
@@ -484,7 +452,7 @@ class TestCellStreamKernel:
             planned = FastBSTCEvaluator(dataset, arithmetization)
             rows = planned.classification_values_batch(queries)
             assert np.array_equal(
-                rows, _legacy_rows(dataset, arithmetization, queries)
+                rows, _reference_rows(dataset, arithmetization, queries)
             )
             assert not rows[0].any()
             assert rows[1, 0] == 1.0 and not rows[1, 1:].any()
@@ -500,11 +468,13 @@ class TestCellStreamKernel:
         planned = FastBSTCEvaluator(dataset)
         queries = rng.random((5, 20)) < 0.5
         rows = planned.classification_values_batch(queries)
-        assert np.array_equal(rows, _legacy_rows(dataset, "min", queries))
-        stream = planned._cell_streams()[0]
-        assert stream.n_elems == 0 and planned._cell_streams()[1] is None
+        assert np.array_equal(rows, _reference_rows(dataset, "min", queries))
+        assert planned._cell_stream(0).n_elems == 0
+        assert planned.plan.classes[1] is None
 
     def test_int64_fallback_plan(self, monkeypatch, selection_mode):
+        # An int64 plan (forced through the int32 ceiling) against the int32
+        # plan the reference compiles once the ceiling is restored.
         dataset = _wide_dataset(97, n_items=120)
         queries = np.random.default_rng(97).random((7, 120)) < 0.3
         monkeypatch.setattr(plan_module, "INT32_MAX", 0)
@@ -512,11 +482,12 @@ class TestCellStreamKernel:
         rows = planned.classification_values_batch(queries)
         assert planned.plan.index_dtype == np.dtype(np.int64)
         assert all(
-            s.elem.dtype == np.dtype(np.int64)
-            for s in planned._cell_streams()
+            planned._cell_stream(c).elem.dtype == np.dtype(np.int64)
+            for c, pc in enumerate(planned.plan.classes)
+            if pc is not None
         )
         monkeypatch.undo()
-        assert np.array_equal(rows, _legacy_rows(dataset, "min", queries))
+        assert np.array_equal(rows, _reference_rows(dataset, "min", queries))
 
     @pytest.mark.parametrize("arithmetization", sorted(COMBINERS))
     def test_loaded_and_refreshed_evaluators(
@@ -526,7 +497,7 @@ class TestCellStreamKernel:
         queries = np.random.default_rng(101).random(
             (9, dataset.n_items)
         ) < np.resize([0.03, 0.6], 9)[:, None]
-        expected = _legacy_rows(dataset, arithmetization, queries)
+        expected = _reference_rows(dataset, arithmetization, queries)
         path = save_artifact(
             FastBSTCEvaluator(dataset, arithmetization), tmp_path / "m.npz"
         )
@@ -547,14 +518,30 @@ class TestCellStreamKernel:
                 evaluator.classification_values_batch(queries), expected
             )
 
+    def test_sparse_queries_build_no_stream(self):
+        # A sparse first query (the serving cold start) gathers its runs
+        # from the plan's CSR lists and never pays for a cell stream.
+        dataset = _wide_dataset(109)
+        planned = FastBSTCEvaluator(dataset)
+        before = engine_counters.get("plan_stream_builds")
+        rows = planned.classification_values_batch([frozenset({1, 2, 3})])
+        assert engine_counters.get("plan_stream_builds") == before
+        assert planned._streams == {}
+        assert np.array_equal(
+            rows,
+            _reference_rows(dataset, "min", [frozenset({1, 2, 3})]),
+        )
+
     def test_one_build_per_class_across_many_queries(self):
+        # Dense blocks take the whole-stream method in every class, so
+        # each class builds its stream once and reuses it.
         dataset = _wide_dataset(103)
         planned = FastBSTCEvaluator(dataset)
         before = engine_counters.get("plan_stream_builds")
         rng = np.random.default_rng(103)
         for _ in range(5):
             planned.classification_values_batch(
-                rng.random((3, dataset.n_items)) < 0.4
+                rng.random((3, dataset.n_items)) < 0.9
             )
             planned.classification_values_batch(
                 [frozenset({1, 2, 3})]
@@ -566,7 +553,8 @@ class TestCellStreamKernel:
         dataset = _wide_dataset(107)
         path = save_artifact(FastBSTCEvaluator(dataset), tmp_path / "m.npz")
         loaded = load_artifact(path)
-        query = np.random.default_rng(107).random(dataset.n_items) < 0.4
+        # Dense, so every class takes the whole-stream method.
+        query = np.random.default_rng(107).random(dataset.n_items) < 0.9
         barrier = threading.Barrier(8)
         rows = [None] * 8
         before = engine_counters.get("plan_stream_builds")
@@ -584,5 +572,5 @@ class TestCellStreamKernel:
             thread.join()
         non_empty = sum(pc is not None for pc in loaded.plan.classes)
         assert engine_counters.get("plan_stream_builds") == before + non_empty
-        expected = _legacy_rows(dataset, "min", [query])[0]
+        expected = _reference_rows(dataset, "min", [query])[0]
         assert all(np.array_equal(row, expected) for row in rows)

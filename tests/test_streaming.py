@@ -250,13 +250,13 @@ class TestAppendOnlyBuild:
     def test_plan_arena_byte_identical(self, split, arith):
         _, base, grown = split
         clear_evaluator_cache()
-        base_plan = FastBSTCEvaluator(base, arithmetization=arith)._ensure_plan()
+        base_plan = FastBSTCEvaluator(base, arithmetization=arith).plan
         delta = recompile_delta(base_plan, grown, base.n_samples, arith)
         clear_evaluator_cache()
         fresh = RelationalDataset(
             grown.item_names, grown.class_names, grown.samples, grown.labels
         )
-        cold = get_evaluator(fresh, arith)._ensure_plan()
+        cold = get_evaluator(fresh, arith).plan
         clear_evaluator_cache()
         assert np.array_equal(cold.geometry, delta.geometry)
         for name in ARENA_FIELDS:
@@ -294,7 +294,7 @@ class TestAppendOnlyBuild:
         silently inheriting the base weights."""
         _, base, grown = split
         clear_evaluator_cache()
-        base_plan = FastBSTCEvaluator(base)._ensure_plan()
+        base_plan = FastBSTCEvaluator(base).plan
         clear_evaluator_cache()
         samples = list(grown.samples)
         samples[0] = frozenset(set(samples[0]) ^ {0})
@@ -303,6 +303,24 @@ class TestAppendOnlyBuild:
         )
         with pytest.raises(ValueError, match="append-only extension"):
             recompile_delta(base_plan, tampered, base.n_samples, "min")
+
+    def test_csr_merge_widens_instead_of_wrapping(self):
+        """The delta merge keeps the arena's narrow id dtype, but appended
+        ids past that dtype's range widen the list instead of wrapping."""
+        from repro.core.plan import _gene_major_merge
+
+        old = np.array([0, 1, 2], dtype=np.int8)  # gene 0: 0, 1; gene 1: 2
+        flat, counts, offsets = _gene_major_merge(
+            old, np.array([2, 1]), np.array([126, 300]), np.array([1, 1]), 2
+        )
+        assert flat.tolist() == [0, 1, 126, 2, 300]
+        assert flat.dtype == np.int64
+        assert counts.tolist() == [3, 2] and offsets.tolist() == [0, 3]
+        narrow, _, _ = _gene_major_merge(
+            old, np.array([2, 1]), np.array([126]), np.array([0, 1]), 2
+        )
+        assert narrow.tolist() == [0, 1, 2, 126]
+        assert narrow.dtype == np.int8
 
     def test_append_fit_error_paths(self, split):
         full, base, grown = split
