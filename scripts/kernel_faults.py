@@ -6,7 +6,9 @@ it as an artifact.  A fresh child process then loads it memory-mapped, as a
 gateway child serves it, warms up, and counts its minor page faults
 (``ru_minflt``) over ``QUERIES`` batch-of-one
 ``classification_values_batch`` calls on held-out samples.  The script
-fails (exit 1) above ``BUDGET`` faults per query.
+fails (exit 1) above ``BUDGET`` faults per query, and also when any arena
+member of the saved artifact does not start on a 64-byte boundary (a
+misaligned memory map slows every gather the kernel makes from it).
 
 A kernel that allocates large temporaries on every call makes the
 allocator hand their pages back and fault them in again, call after call;
@@ -37,6 +39,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 QUERIES = 200
 WARMUP = 20
 BUDGET = 50
+#: Byte boundary every arena member's payload must start on.
+ALIGN = 64
 
 
 def measure(work: Path) -> int:
@@ -78,6 +82,7 @@ def main(argv=None) -> int:
 
     import numpy as np
 
+    from repro.core.artifact import _stored_member_offsets
     from repro.core.classifier import BSTClassifier
     from repro.datasets.discretize import EntropyDiscretizer
     from repro.datasets.profiles import profile
@@ -98,6 +103,11 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         clf.save(work / "all.npz")
+        misaligned = sorted(
+            name
+            for name, offset in _stored_member_offsets(work / "all.npz").items()
+            if name.startswith("arena_") and offset % ALIGN
+        )
         np.save(work / "queries.npy", pool.bool_matrix)
         np.save(
             work / "expected.npy",
@@ -111,6 +121,10 @@ def main(argv=None) -> int:
             capture_output=True,
             text=True,
         )
+    if misaligned:
+        print(f"kernel_faults: FAIL — arena members not {ALIGN}-byte"
+              f" aligned: {', '.join(misaligned)}")
+        return 1
     if child.returncode != 0:
         print(f"kernel_faults: FAIL — {child.stdout}{child.stderr}".rstrip())
         return 1
@@ -119,7 +133,7 @@ def main(argv=None) -> int:
     print(
         f"kernel_faults: {faults} minor faults over {QUERIES}"
         f" batch-of-one queries ({per_query:.1f} per query, budget"
-        f" {BUDGET})"
+        f" {BUDGET}); every arena member {ALIGN}-byte aligned"
     )
     if per_query > BUDGET:
         print("kernel_faults: FAIL — the kernel faults its temporaries in"

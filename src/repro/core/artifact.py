@@ -12,9 +12,10 @@ start.  This module removes that cost from the serving path:
   in a single uncompressed ``.npz`` file (format v2);
 * :func:`load_artifact` reconstructs a working evaluator **without
   recompiling anything**: every stored array is memory-mapped straight out
-  of the zip archive (``np.savez`` stores members uncompressed, so each
-  embedded ``.npy`` payload is a contiguous byte range that
-  :class:`numpy.memmap` can address directly) and the per-class plan views
+  of the zip archive (members are stored uncompressed, so each embedded
+  ``.npy`` payload is a contiguous byte range that :class:`numpy.memmap`
+  can address directly; :func:`save_artifact` starts each one on a 64-byte
+  boundary, and older unaligned files map too) and the per-class plan views
   are rebuilt over the mapped arena without copying a byte.  Cold start
   becomes a zip-directory parse plus a few header reads; arena pages fault
   in lazily as the first queries touch them.  Format v1 artifacts (the
@@ -51,6 +52,7 @@ the skip is counted under ``artifact_unverified_loads``.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import struct
@@ -158,9 +160,11 @@ class DatasetSummary:
 def save_artifact(evaluator: FastBSTCEvaluator, path: PathLike) -> Path:
     """Export a fitted evaluator as a single ``.npz`` model artifact.
 
-    The file is written uncompressed (``np.savez``) on purpose: compression
-    would defeat the memory-mapped zero-copy load path, and boolean/float32
-    arenas are already compact.  It stores the compiled evaluation plan
+    The file is written uncompressed on purpose: compression would defeat
+    the memory-mapped zero-copy load path, and boolean/float32 arenas are
+    already compact.  Every member's ``.npy`` payload starts on a
+    :data:`_PAYLOAD_ALIGN`-byte boundary (:func:`_write_npz`), so every
+    mapped arena array is aligned.  It stores the compiled evaluation plan
     (format v2: the flat arena plus its geometry table).  Returns the path
     written.
     """
@@ -177,15 +181,13 @@ def save_artifact(evaluator: FastBSTCEvaluator, path: PathLike) -> Path:
         "meta_n_samples": np.array(dataset.n_samples, dtype=np.int64),
         "meta_item_names": np.array(list(dataset.item_names)),
         "meta_class_names": np.array(list(dataset.class_names)),
-        "meta_plan_geometry": np.ascontiguousarray(plan.geometry),
+        "meta_plan_geometry": plan.geometry,
         "meta_plan_culled_refs": np.array(plan.culled_refs, dtype=np.int64),
     }
     for name in ARENA_FIELDS:
-        arrays[f"arena_{name}"] = np.ascontiguousarray(plan.arena[name])
+        arrays[f"arena_{name}"] = plan.arena[name]
     path = Path(path)
-    with path.open("wb") as handle:
-        np.savez(handle, **arrays)
-    _append_integrity(path)
+    _write_npz(path, arrays)
     engine_counters.increment("artifact_saves")
     return path
 
@@ -203,24 +205,76 @@ def _integrity_root(members: Dict[str, Dict[str, int]]) -> str:
     return digest.hexdigest()
 
 
-def _append_integrity(path: Path) -> None:
-    """Record each stored member's payload CRC-32 + size and the root
-    digest in an appended ``integrity.json`` member.  The CRCs come from
-    the zip central directory ``np.savez`` already computed, so saving
-    stays write-once."""
-    with zipfile.ZipFile(path) as archive:
-        members = {
-            info.filename: {"crc32": int(info.CRC), "size": int(info.file_size)}
-            for info in archive.infolist()
+#: Every stored member's payload starts on a multiple of this many bytes.
+#: ``.npy`` headers are padded to a multiple of 64 bytes too, so each
+#: array's data — and every arena view sliced from it — is 64-byte aligned.
+_PAYLOAD_ALIGN = 64
+#: Extra-field id of the alignment padding record (the id ``zipalign``
+#: uses): a 2-byte alignment then zero bytes, so the shortest record is
+#: 6 bytes (with the id and size fields).
+_ALIGN_EXTRA_ID = 0xD935
+_ALIGN_EXTRA_MIN = 6
+#: Fixed member timestamp, so the same arrays always give the same bytes
+#: (a cold save and a delta refresh of the same data are byte-identical).
+_MEMBER_DATE_TIME = (1980, 1, 1, 0, 0, 0)
+
+
+def _member_info(name: str, offset: int, size: int) -> zipfile.ZipInfo:
+    """A stored member whose payload lands on a :data:`_PAYLOAD_ALIGN`
+    boundary when its local header starts at ``offset``: the local
+    header's extra field carries the padding, as ``zipalign`` does."""
+    info = zipfile.ZipInfo(name, date_time=_MEMBER_DATE_TIME)
+    info.compress_type = zipfile.ZIP_STORED
+    # A preset size makes zipfile add its 20-byte zip64 record only when
+    # the member needs it (its own test, repeated here to place the pad).
+    info.file_size = size
+    zip64 = size * 1.05 > zipfile.ZIP64_LIMIT
+    end = (
+        offset + _LOCAL_HEADER_SIZE + len(name.encode("ascii"))
+        + (20 if zip64 else 0)
+    )
+    pad = -end % _PAYLOAD_ALIGN
+    if pad < _ALIGN_EXTRA_MIN:
+        pad += _PAYLOAD_ALIGN
+    info.extra = struct.pack(
+        "<HHH", _ALIGN_EXTRA_ID, pad - 4, _PAYLOAD_ALIGN
+    ) + bytes(pad - _ALIGN_EXTRA_MIN)
+    return info
+
+
+def _write_npz(path: Path, arrays: Dict[str, np.ndarray]) -> None:
+    """Write ``arrays`` as an uncompressed ``.npz`` whose ``.npy`` payloads
+    all start on a :data:`_PAYLOAD_ALIGN`-byte boundary, then the
+    ``integrity.json`` member: each member's payload CRC-32 + size and the
+    root digest.  The CRCs are the ones zipfile computes while writing, so
+    saving stays write-once; each array streams straight from its buffer,
+    with no whole-file or whole-array copy."""
+    members: Dict[str, Dict[str, int]] = {}
+    with path.open("wb") as handle, zipfile.ZipFile(handle, "w") as archive:
+        for key, value in arrays.items():
+            value = np.asarray(value, order="C")
+            header = io.BytesIO()
+            np.lib.format.write_array_header_1_0(
+                header, np.lib.format.header_data_from_array_1_0(value)
+            )
+            name = f"{key}.npy"
+            info = _member_info(
+                name, handle.tell(), header.tell() + value.nbytes
+            )
+            with archive.open(info, "w") as member:
+                member.write(header.getvalue())
+                member.write(memoryview(value.reshape(-1).view(np.uint8)))
+            members[name] = {"crc32": int(info.CRC), "size": int(info.file_size)}
+        payload = {
+            "version": 1,
+            "algorithm": "crc32",
+            "members": members,
+            "root_sha256": _integrity_root(members),
         }
-    payload = {
-        "version": 1,
-        "algorithm": "crc32",
-        "members": members,
-        "root_sha256": _integrity_root(members),
-    }
-    with zipfile.ZipFile(path, "a", zipfile.ZIP_STORED) as archive:
-        archive.writestr(_INTEGRITY_MEMBER, json.dumps(payload, sort_keys=True))
+        archive.writestr(
+            zipfile.ZipInfo(_INTEGRITY_MEMBER, date_time=_MEMBER_DATE_TIME),
+            json.dumps(payload, sort_keys=True),
+        )
 
 
 def refresh_artifact(

@@ -16,12 +16,13 @@ Per-class state lives in the compiled plan's flat structure-of-arrays
 arena (:mod:`repro.core.plan`): fused pair weights, downcast dtypes,
 duplicate-outside-row culling.  Per block of queries the dominant cost is
 one stacked pair-count matmul per class — restricted to each query's own
-expressed genes for sparse serving queries — then one gather of the
-selected cells' elements, one segment reduction and one ``bincount``.
-Dense blocks gather from the class's :class:`~repro.core.plan.CellStream`
-(built once, the first time a dense block needs it); sparse blocks gather
-run by run, addressed straight from the plan's CSR lists, so a sparse
-query never pays for the stream.
+expressed genes for sparse serving queries — then gathers of the
+selected cells' elements, their reduction and a ``bincount``.  Dense
+blocks value the class's :class:`~repro.core.plan.CellStream` (built once,
+the first time a dense block needs it) with one fold per cell-length
+bucket under ``min``/``product``; sparse blocks gather run by run,
+addressed straight from the plan's CSR lists, so a sparse query never
+pays for the stream.
 :meth:`~FastBSTCEvaluator.classification_values` and
 :meth:`~FastBSTCEvaluator.class_value` are a batch of one.
 
@@ -182,7 +183,9 @@ class FastBSTCEvaluator:
             with _STREAM_LOCK:
                 stream = self._streams.get(class_id)
                 if stream is None:
-                    stream = build_cell_stream(self._plan.classes[class_id])
+                    stream = build_cell_stream(
+                        self._plan.classes[class_id], self.arithmetization
+                    )
                     self._streams[class_id] = stream
         return stream
 
@@ -195,10 +198,17 @@ class FastBSTCEvaluator:
                     f" ({self.dataset.n_items},)"
                 )
             return query.astype(bool)
-        vec = np.zeros(self.dataset.n_items, dtype=bool)
-        items = [i for i in query if 0 <= i < self.dataset.n_items]
-        if items:
-            vec[items] = True
+        n_items = self.dataset.n_items
+        # One C-level conversion; out-of-range ids are dropped.  Anything
+        # but machine integers (an empty set, floats, ids past int64) takes
+        # the per-item filter, so a float id still fails as an index.
+        ids = np.array(tuple(query))
+        if ids.dtype.kind not in "iu":
+            ids = [i for i in query if 0 <= i < n_items]
+        elif ids.size and (ids.min() < 0 or ids.max() >= n_items):
+            ids = ids[(ids >= 0) & (ids < n_items)]
+        vec = np.zeros(n_items, dtype=bool)
+        vec[ids] = True
         return vec
 
     def _as_matrix(self, queries: Union[Sequence[Query], np.ndarray]) -> np.ndarray:
@@ -241,9 +251,11 @@ class FastBSTCEvaluator:
     # The batched plan kernel
     # ------------------------------------------------------------------
     def _pair_matrix(self, pc: PlanClass, qmat: np.ndarray) -> np.ndarray:
-        """V[b, c, h] for a block of queries: query-major, so query ``b``'s
-        pair values are one contiguous ``n_c·n_o`` row the cell stream's
-        element addresses index directly.
+        """V[b, c, h] for a block of queries, as ``(B, n_c·n_o + 1)``:
+        query-major, so query ``b``'s pair values are one contiguous row
+        the cell stream's element addresses index directly.  The last slot
+        of each row is the identity sentinel ``1.0`` a ``product`` stream
+        pads its short cells with.
 
         For sparse batches each query's inner products are restricted to
         *its own* expressed columns — B small matmuls of width ``|Q_b|``
@@ -297,7 +309,10 @@ class FastBSTCEvaluator:
                 sat / pc.pair_len[None, :, :],
                 0.0,
             )
-        return values.astype(np.float32, copy=False)
+        out = np.empty((n_b, n_c * n_o + 1), dtype=np.float32)
+        out[:, :-1] = values.reshape(n_b, -1)
+        out[:, -1] = 1.0
+        return out
 
     def _reduce_segments(
         self, gathered: np.ndarray, starts: np.ndarray, lengths: np.ndarray
@@ -320,9 +335,9 @@ class FastBSTCEvaluator:
         Column counts and black-dot contributions are two batched boolean
         matmuls.  The remaining cells are the non-blank, non-black-dot
         ``(query, gene, inside row)`` combinations: per block the work is
-        the pair values, one gather of the selected cells' elements — from
-        the class's :class:`~repro.core.plan.CellStream` or run by run —
-        one segment reduction and one ``bincount``.  Every (query, class)
+        the pair values, the selected cells' values — from the class's
+        :class:`~repro.core.plan.CellStream` or run by run — and their
+        ``bincount`` onto the column sums.  Every (query, class)
         bin adds its cells in ascending gene order, starting from zero, so
         a query's value does not depend on its batchmates or on which cell
         selection method ran.
@@ -339,31 +354,22 @@ class FastBSTCEvaluator:
             @ pc.inside_f.T
         ).astype(np.float64)
         n_c = pc.inside.shape[0]
-        counts = pc.outside_counts
         # One run per (query, gene) with cells: the gene's inside rows,
         # each combining the gene's (culled) outside rows.
-        b_idx, g_idx = np.nonzero(relevant & (counts > 0))
+        b_idx, g_idx = np.nonzero(relevant & pc.has_outside)
         if b_idx.size:
-            pair_values = self._pair_matrix(pc, qmat).reshape(n_b, -1)
-            offsets = pc.inside_row_offsets
-            run_rows = (offsets[g_idx + 1] - offsets[g_idx]).astype(np.int64)
-            run_len = counts[g_idx].astype(np.int64)
+            pair_values = self._pair_matrix(pc, qmat)
+            run_rows = pc.gene_rows[g_idx]
+            run_len = pc.outside_counts[g_idx].astype(np.int64)
             selected = int(np.dot(run_rows, run_len))
-            stream_elems = int(np.dot(
-                np.diff(offsets).astype(np.int64), counts.astype(np.int64)
-            ))
-            if selected * _WHOLE_STREAM_SHARE >= n_b * stream_elems:
-                codes, vals = self._stream_cells(
+            if selected * _WHOLE_STREAM_SHARE >= n_b * pc.stream_elems:
+                col_sum += self._stream_cells(
                     self._cell_stream(class_id), pair_values, qmat, n_c
                 )
             else:
-                codes, vals = self._run_cells(
+                col_sum += self._run_cells(
                     pc, pair_values, b_idx, g_idx, run_rows, run_len
                 )
-            # Accumulate each cell onto its (query, class) column sum.
-            col_sum += np.bincount(
-                codes, weights=vals, minlength=n_b * n_c
-            ).reshape(n_b, n_c)
         nonblank = col_count > 0
         safe_count = np.where(nonblank, col_count, 1.0)
         column_means = np.where(nonblank, col_sum / safe_count, 0.0)
@@ -372,22 +378,37 @@ class FastBSTCEvaluator:
         values[has_cols] = column_means.sum(axis=1)[has_cols] / n_cols[has_cols]
         return values
 
-    def _stream_cells(
-        self,
-        stream: CellStream,
-        pair_values: np.ndarray,
-        qmat: np.ndarray,
-        n_c: int,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(bin codes, cell values)`` of a block's selected cells, by
-        gathering the whole stream for every query and masking cells by
-        query.  Chunked over cells so one chunk's ``(B, elements)`` gather
-        stays within the element budget."""
-        n_b = qmat.shape[0]
+    def _stream_values(
+        self, stream: CellStream, pair_values: np.ndarray
+    ) -> np.ndarray:
+        """``(B, n_cells)`` value of every stream cell for every query of a
+        block, in stream order.
+
+        A folded stream takes one gather and one ``reduce(axis=1)`` per
+        length bucket — the same sequential left fold ``reduceat`` runs,
+        so the same bits — then one ``take`` through ``restore``; a flat
+        one (``mean``) one gather and one ``reduceat``.  Either way the
+        gathers are chunked so one chunk's ``(B, elements)`` array stays
+        within the element budget, splitting a bucket's columns if need
+        be.
+        """
+        n_b = pair_values.shape[0]
         budget = max(1, (_CELL_BUDGET >> 2) // n_b)
+        if stream.folded:
+            fold = np.minimum if self.arithmetization == "min" else np.multiply
+            # Seeded with an empty part: a stream may have no buckets.
+            parts = [np.empty((n_b, 0), dtype=np.float32)]
+            for elem in stream.buckets:
+                width, n_bucket = elem.shape
+                step = max(1, budget // width)
+                for lo in range(0, n_bucket, step):
+                    gathered = np.take(
+                        pair_values, elem[:, lo:lo + step], axis=1
+                    )  # (B, width, cells)
+                    parts.append(fold.reduce(gathered, axis=1))
+            return np.concatenate(parts, axis=1).take(stream.restore, axis=1)
         n_cells = stream.cell_gene.size
-        codes: List[np.ndarray] = []
-        vals: List[np.ndarray] = []
+        vals = np.empty((n_b, n_cells), dtype=np.float32)
         first = 0
         while first < n_cells:
             e0 = int(stream.cell_start[first])
@@ -398,17 +419,35 @@ class FastBSTCEvaluator:
                 else stream.n_elems
             )
             gathered = np.take(pair_values, stream.elem[e0:e1], axis=1)
-            cell_vals = self._reduce_segments(
+            vals[:, first:last] = self._reduce_segments(
                 gathered,
                 stream.cell_start[first:last] - e0,
                 stream.cell_len[first:last],
-            )  # (B, cells)
-            picked = qmat[:, stream.cell_gene[first:last]]
-            b_sel, c_sel = np.nonzero(picked)
-            codes.append(b_sel * n_c + stream.cell_row[first:last][c_sel])
-            vals.append(cell_vals[picked])
+            )
             first = last
-        return _join(codes), _join(vals)
+        return vals
+
+    def _stream_cells(
+        self,
+        stream: CellStream,
+        pair_values: np.ndarray,
+        qmat: np.ndarray,
+        n_c: int,
+    ) -> np.ndarray:
+        """``(B, n_c)`` sums of a block's selected cell values, by valuing
+        the whole stream for every query (:meth:`_stream_values`).  Cells
+        of genes a query does not express are multiplied to ``+0.0`` (cell
+        values are finite and non-negative), which leaves every sum exact,
+        and each query's cells are summed in stream order by one
+        ``bincount``."""
+        vals = self._stream_values(stream, pair_values)
+        vals *= qmat[:, stream.cell_gene]
+        sums = np.empty((qmat.shape[0], n_c), dtype=np.float64)
+        for b in range(qmat.shape[0]):
+            sums[b] = np.bincount(
+                stream.cell_row, weights=vals[b], minlength=n_c
+            )
+        return sums
 
     def _run_cells(
         self,
@@ -418,8 +457,8 @@ class FastBSTCEvaluator:
         g_idx: np.ndarray,
         run_rows: np.ndarray,
         run_len: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(bin codes, cell values)`` of a block's selected cells, by
+    ) -> np.ndarray:
+        """``(B, n_c)`` sums of a block's selected cell values, by
         gathering each ``(query, gene)`` run with its own ``take``.
 
         A run is the gene's inside rows times its culled outside rows, so
@@ -469,7 +508,10 @@ class FastBSTCEvaluator:
                 np.repeat(b_idx[first:last] * n_c, cells) + _join(rows)
             )
             first = last
-        return _join(codes), _join(vals)
+        n_b = pair_values.shape[0]
+        return np.bincount(
+            _join(codes), weights=_join(vals), minlength=n_b * n_c
+        ).reshape(n_b, n_c)
 
     def class_value(self, class_id: int, query: Query) -> float:
         """BSTCE(T(class_id), Q) — Algorithm 5's classification value."""

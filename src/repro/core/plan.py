@@ -98,7 +98,9 @@ GEOMETRY_COLUMNS = 4
 
 @dataclass
 class PlanClass:
-    """One class's slice of the arena — every array a view, never a copy."""
+    """One class's slice of the arena — every arena array a view, never a
+    copy — plus the kernel's query-independent per-class inputs, derived
+    once from those views when the plan is built or loaded."""
 
     class_id: int
     inside: np.ndarray       # bool (n_c, n_items): rows of C_i
@@ -114,6 +116,17 @@ class PlanClass:
     h_offsets: np.ndarray    # (n_items,): start of each gene in h_flat
     inside_rows: np.ndarray  # (ir_len,): inside rows per gene, gene-major
     inside_row_offsets: np.ndarray  # (n_items + 1,): CSR offsets
+    has_outside: np.ndarray = field(init=False)  # bool (n_items,): counts > 0
+    gene_rows: np.ndarray = field(init=False)    # int64 (n_items,): rows per gene
+    stream_elems: int = field(init=False)        # the flat cell stream's elements
+
+    def __post_init__(self) -> None:
+        counts = np.asarray(self.outside_counts, dtype=np.int64)
+        self.has_outside = counts > 0
+        self.gene_rows = np.diff(
+            np.asarray(self.inside_row_offsets, dtype=np.int64)
+        )
+        self.stream_elems = int(np.dot(self.gene_rows, counts))
 
 
 @dataclass
@@ -696,31 +709,64 @@ class CellStream:
     views (:func:`build_cell_stream`).
 
     A *cell* is a non-blank, non-black-dot ``(gene, inside row)`` pair;
-    cells run gene-major (ascending gene, then the ``inside_rows`` order).
-    Each cell's *elements* are the flat pair-value addresses
-    ``cell_row·n_o + h`` over the outside rows ``h`` expressing its gene,
-    in the plan's (culled) ``h_flat`` order, so a query's cell values are
-    one gather from its ``(n_c·n_o)`` pair values plus one segment
-    reduction.  Never stored in an artifact: an evaluator builds it from
-    the plan the first time a block of queries takes the kernel's
-    whole-stream method for the class.
+    cells run gene-major (ascending gene, then the ``inside_rows`` order),
+    and that *stream order* is the order their values are summed in.  Each
+    cell's *elements* are the flat pair-value addresses ``cell_row·n_o + h``
+    over the outside rows ``h`` expressing its gene, in the plan's (culled)
+    ``h_flat`` order, so a query's cell values are gathers from its
+    ``(n_c·n_o)`` pair values plus a reduction per cell.  A stream carries
+    exactly one element layout, the one its arithmetization reduces over:
+
+    * **folded** (``min``, ``product``): cells grouped into buckets by
+      length rounded up to a power of two, each bucket laid out
+      element-major as an ``(L, n_cells_L)`` address block, so one
+      ``take`` and one ``reduce(axis=1)`` value a whole bucket.  A cell
+      shorter than its bucket is padded with its own last element under
+      ``min`` (idempotent) and with the identity sentinel address
+      ``n_c·n_o`` (a pair-value slot holding ``1.0``) under ``product``.
+      One precomputed permutation, ``restore``, puts the buckets' values
+      back in stream order.
+    * **flat** (``mean``): the cells' elements back to back in stream
+      order, reduced with ``np.add.reduceat`` at ``cell_start``.
+
+    Never stored in an artifact: an evaluator builds it from the plan the
+    first time a block of queries takes the kernel's whole-stream method
+    for the class.
     """
 
     cell_gene: np.ndarray   # int32 (n_cells,)
-    cell_row: np.ndarray    # int32 (n_cells,)
-    cell_start: np.ndarray  # int64 (n_cells,): first element of each cell
-    cell_len: np.ndarray    # int64 (n_cells,): elements per cell (>= 1)
-    elem: np.ndarray        # address_dtype(n_c, n_o): (n_elems,)
+    cell_row: np.ndarray    # intp (n_cells,): each cell's bin in a query
+    elem: np.ndarray        # address_dtype(n_c, n_o): the layout's addresses
+    #: Flat layout only: first element and element count of each cell.
+    cell_start: Optional[np.ndarray] = None
+    cell_len: Optional[np.ndarray] = None
+    #: Folded layout only: each bucket's ``(L, n)`` address block, by
+    #: ascending ``L`` (views into ``elem``), and the permutation that
+    #: takes the buckets' cells, back to back, to stream order.
+    buckets: Tuple[np.ndarray, ...] = ()
+    restore: Optional[np.ndarray] = None
 
     @property
     def n_elems(self) -> int:
+        """Addresses in the layout, padding included."""
         return int(self.elem.size)
+
+    @property
+    def folded(self) -> bool:
+        return self.cell_start is None
+
+
+#: Arithmetizations whose cell reduction is a sequential left fold that an
+#: element-major ``reduce(axis=1)`` reproduces bit for bit; ``mean`` sums
+#: pairwise inside ``np.add.reduceat`` and keeps the flat layout.
+_FOLDED_ARITHMETIZATIONS = ("min", "product")
 
 
 def address_dtype(n_c: int, n_o: int) -> np.dtype:
     """Dtype of a flat ``row·n_o + h`` pair-value address: int32 unless
-    ``n_c·n_o`` passes :data:`INT32_MAX`."""
-    return np.dtype(np.int32 if n_c * n_o - 1 <= INT32_MAX else np.int64)
+    the ``n_c·n_o`` slots plus the identity sentinel after them pass
+    :data:`INT32_MAX`."""
+    return np.dtype(np.int32 if n_c * n_o <= INT32_MAX else np.int64)
 
 
 def _offsets(lengths: np.ndarray) -> np.ndarray:
@@ -730,19 +776,28 @@ def _offsets(lengths: np.ndarray) -> np.ndarray:
     return starts
 
 
-def build_cell_stream(pc: PlanClass) -> CellStream:
+def _bucket_widths(cell_len: np.ndarray) -> np.ndarray:
+    """Each cell length rounded up to a power of two (``1`` stays ``1``):
+    the folded layout's bucket of that cell, padding it by less than its
+    own length."""
+    exponents = np.frexp(np.asarray(cell_len, dtype=np.int64) - 1)[1]
+    return np.left_shift(1, exponents.astype(np.int64))
+
+
+def build_cell_stream(pc: PlanClass, arithmetization: str = "min") -> CellStream:
     """Derive one class's :class:`CellStream` from its plan views, in one
-    vectorised pass.  Counted under ``plan_stream_builds``."""
+    vectorised pass plus one gather per bucket, in the layout
+    ``arithmetization`` reduces over.  Counted under
+    ``plan_stream_builds``."""
     n_items = int(pc.gene_mask.size)
     n_c, n_o = int(pc.inside.shape[0]), int(pc.outside.shape[0])
     counts = np.asarray(pc.outside_counts, dtype=np.int64)
-    rows = np.diff(np.asarray(pc.inside_row_offsets, dtype=np.int64))
-    entry_gene = np.repeat(np.arange(n_items, dtype=np.int64), rows)
+    entry_gene = np.repeat(np.arange(n_items, dtype=np.int64), pc.gene_rows)
     # Black-dot genes (no outside row) have no elements: they are valued
     # by the kernel's black-dot matmul, not by the stream.
     keep = counts[entry_gene] > 0
     cell_gene = entry_gene[keep]
-    cell_row = np.asarray(pc.inside_rows)[keep].astype(np.int64)
+    cell_row = np.asarray(pc.inside_rows)[keep].astype(np.intp)
     cell_len = counts[cell_gene]
     cell_start = _offsets(cell_len)
     # Element e of a cell reads h_flat at its gene's offset plus e's place
@@ -754,10 +809,35 @@ def build_cell_stream(pc: PlanClass) -> CellStream:
     elem += np.asarray(pc.h_flat)[pos]
     elem = elem.astype(address_dtype(n_c, n_o), copy=False)
     engine_counters.increment("plan_stream_builds")
+    cells = dict(cell_gene=cell_gene.astype(np.int32), cell_row=cell_row)
+    if arithmetization not in _FOLDED_ARITHMETIZATIONS:
+        return CellStream(
+            elem=elem, cell_start=cell_start, cell_len=cell_len, **cells
+        )
+    width = _bucket_widths(cell_len)
+    order = np.argsort(width, kind="stable")
+    widths, firsts = np.unique(width[order], return_index=True)
+    counts_per_bucket = np.diff(np.append(firsts, order.size))
+    folded = np.empty(int(np.dot(widths, counts_per_bucket)), elem.dtype)
+    buckets: List[np.ndarray] = []
+    offset = 0
+    for w, lo, n in zip(
+        widths.tolist(), firsts.tolist(), counts_per_bucket.tolist()
+    ):
+        members = order[lo:lo + n]
+        lens = cell_len[members]
+        step = np.arange(w, dtype=np.int64)[:, None]
+        # Element-major: row j holds every cell's j-th element; past a
+        # cell's end, its last element again (min) or the sentinel.
+        block = folded[offset:offset + w * n].reshape(w, n)
+        np.take(elem, cell_start[members] + np.minimum(step, lens - 1),
+                out=block)
+        if arithmetization == "product":
+            block[step >= lens] = n_c * n_o
+        buckets.append(block)
+        offset += w * n
+    restore = np.empty_like(order)
+    restore[order] = np.arange(order.size)
     return CellStream(
-        cell_gene=cell_gene.astype(np.int32),
-        cell_row=cell_row.astype(np.int32),
-        cell_start=cell_start,
-        cell_len=cell_len,
-        elem=elem,
+        elem=folded, buckets=tuple(buckets), restore=restore, **cells
     )

@@ -101,6 +101,10 @@ def _model_info_json(info: ModelInfo) -> Dict[str, Any]:
     }
 
 
+#: JSON types a ``vector`` entry may have.
+_VECTOR_TYPES = frozenset((int, float, bool))
+
+
 def _parse_query(body: Dict[str, Any]) -> Any:
     """The query payload: ``vector`` (dense) xor ``items`` (sparse ids)."""
     has_vector = "vector" in body
@@ -112,17 +116,21 @@ def _parse_query(body: Dict[str, Any]) -> Any:
         )
     # Entries are checked by JSON type, not coerced: a string, a float item
     # id or a boolean item id is refused instead of silently becoming a
-    # different query.
+    # different query.  One C-level pass collects the entry types; only a
+    # refused query walks its entries again, to name the first bad one.
     if has_vector:
         vector = body["vector"]
         if not isinstance(vector, list):
             raise QueryError("'vector' must be a JSON array of numbers")
-        for index, value in enumerate(vector):
-            if not isinstance(value, (int, float)):  # bool is an int
-                raise QueryError(
-                    f"'vector' entry {index} is {value!r}; entries must be"
-                    " JSON numbers or booleans"
-                )
+        if not set(map(type, vector)) <= _VECTOR_TYPES:
+            index, value = next(
+                (i, v) for i, v in enumerate(vector)
+                if type(v) not in _VECTOR_TYPES
+            )
+            raise QueryError(
+                f"'vector' entry {index} is {value!r}; entries must be"
+                " JSON numbers or booleans"
+            )
         try:
             return np.asarray(vector, dtype=np.float64)
         except OverflowError as exc:  # an integer past the float range
@@ -130,12 +138,14 @@ def _parse_query(body: Dict[str, Any]) -> Any:
     items = body["items"]
     if not isinstance(items, list):
         raise QueryError("'items' must be a JSON array of item ids")
-    for index, value in enumerate(items):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise QueryError(
-                f"'items' entry {index} is {value!r}; item ids must be JSON"
-                " integers"
-            )
+    if not set(map(type, items)) <= {int}:  # type(True) is bool, refused
+        index, value = next(
+            (i, v) for i, v in enumerate(items) if type(v) is not int
+        )
+        raise QueryError(
+            f"'items' entry {index} is {value!r}; item ids must be JSON"
+            " integers"
+        )
     return frozenset(items)
 
 

@@ -444,21 +444,24 @@ class PredictionService:
                     )
             return
         try:
-            items = [int(i) for i in query]
+            items = list(map(int, query))
         except (TypeError, ValueError) as exc:
             self._counters.increment("service_query_rejects")
             raise QueryError(
                 f"query must be an indicator vector or an item-index set:"
                 f" {exc}"
             ) from exc
-        if n_items is not None:
-            for index in items:
-                if not 0 <= index < n_items:
-                    self._counters.increment("service_query_rejects")
-                    raise QueryError(
-                        f"query item index {index} is outside the model's"
-                        f" [0, {n_items}) gene range"
-                    )
+        if (
+            n_items is not None
+            and items
+            and (min(items) < 0 or max(items) >= n_items)
+        ):
+            index = next(i for i in items if not 0 <= i < n_items)
+            self._counters.increment("service_query_rejects")
+            raise QueryError(
+                f"query item index {index} is outside the model's"
+                f" [0, {n_items}) gene range"
+            )
 
     # ------------------------------------------------------------------
     # Worker

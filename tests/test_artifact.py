@@ -17,7 +17,10 @@ from repro.core.artifact import (
     ArtifactStale,
     DatasetSummary,
     _INTEGRITY_MEMBER,
+    _integrity_root,
+    _stored_member_offsets,
     load_artifact,
+    refresh_artifact,
     save_artifact,
 )
 from repro.core.classifier import BSTClassifier
@@ -131,6 +134,111 @@ class TestRoundTrip:
         assert np.array_equal(
             evaluator.classification_values_batch(queries),
             loaded.classification_values_batch(queries),
+        )
+
+
+def _grown_pair(seed=7, n_samples=30, n_items=40, base_rows=20):
+    """A dataset and its first ``base_rows`` rows (an append-only base)."""
+    rng = np.random.default_rng(seed)
+    matrix = rng.random((n_samples, n_items)) < 0.4
+    labels = rng.integers(0, 3, n_samples)
+    labels[:3] = (0, 1, 2)
+    names = ["a", "b", "c"]
+    grown = RelationalDataset.from_bool_matrix(
+        matrix, labels.tolist(), class_names=names
+    )
+    base = RelationalDataset.from_bool_matrix(
+        matrix[:base_rows], labels[:base_rows].tolist(), class_names=names
+    )
+    return base, grown
+
+
+def _arena_offsets(path):
+    offsets = _stored_member_offsets(path)
+    assert offsets is not None
+    return {
+        name: offset
+        for name, offset in offsets.items()
+        if name.startswith("arena_")
+    }
+
+
+class TestAlignedPayloads:
+    """Every ``.npy`` payload — so every arena array — starts on a 64-byte
+    boundary; artifacts written before that still load."""
+
+    def _assert_aligned(self, path):
+        offsets = _arena_offsets(path)
+        assert len(offsets) == len(ARENA_FIELDS)
+        assert all(offset % 64 == 0 for offset in offsets.values()), offsets
+        loaded = load_artifact(path)
+        for name in ARENA_FIELDS:
+            member = loaded.plan.arena[name]
+            if member.size:
+                assert isinstance(member, np.memmap)
+                assert member.ctypes.data % 64 == 0, name
+
+    @pytest.mark.parametrize("arithmetization", sorted(COMBINERS))
+    def test_saved_and_refreshed_members_are_aligned(
+        self, tmp_path, arithmetization
+    ):
+        base, grown = _grown_pair()
+        path = save_artifact(
+            FastBSTCEvaluator(base, arithmetization), tmp_path / "m.npz"
+        )
+        self._assert_aligned(path)
+        refreshed = refresh_artifact(
+            path, grown, out_path=tmp_path / "refreshed.npz"
+        )
+        self._assert_aligned(refreshed)
+
+    def test_cold_save_and_delta_refresh_are_byte_identical(self, tmp_path):
+        base, grown = _grown_pair()
+        path = save_artifact(FastBSTCEvaluator(base), tmp_path / "base.npz")
+        refreshed = refresh_artifact(
+            path, grown, out_path=tmp_path / "refreshed.npz"
+        )
+        clear_evaluator_cache()
+        cold = save_artifact(FastBSTCEvaluator(grown), tmp_path / "cold.npz")
+        assert refreshed.read_bytes() == cold.read_bytes()
+
+    def test_unaligned_artifact_still_loads(self, tmp_path):
+        # An artifact as older builds wrote it: np.savez of the same
+        # members, then the integrity manifest appended.
+        _, dataset = _grown_pair()
+        evaluator = FastBSTCEvaluator(dataset)
+        path = save_artifact(evaluator, tmp_path / "m.npz")
+        with np.load(path) as npz:
+            arrays = {k: npz[k] for k in npz.files}
+        legacy = tmp_path / "legacy.npz"
+        with legacy.open("wb") as handle:
+            np.savez(handle, **arrays)
+        with zipfile.ZipFile(legacy) as archive:
+            members = {
+                info.filename: {
+                    "crc32": int(info.CRC), "size": int(info.file_size)
+                }
+                for info in archive.infolist()
+            }
+        manifest = {
+            "version": 1,
+            "algorithm": "crc32",
+            "members": members,
+            "root_sha256": _integrity_root(members),
+        }
+        with zipfile.ZipFile(legacy, "a") as archive:
+            archive.writestr(_INTEGRITY_MEMBER, json.dumps(manifest))
+        assert any(o % 64 for o in _arena_offsets(legacy).values())
+        loaded = load_artifact(legacy, verify="eager")
+        assert all(
+            isinstance(loaded.plan.arena[name], np.memmap)
+            for name in ARENA_FIELDS
+            if loaded.plan.arena[name].size
+        )
+        queries = _random_queries(np.random.default_rng(5), dataset)
+        assert np.array_equal(
+            loaded.classification_values_batch(queries),
+            evaluator.classification_values_batch(queries),
         )
 
 

@@ -574,3 +574,88 @@ class TestCellStreamKernel:
         assert engine_counters.get("plan_stream_builds") == before + non_empty
         expected = _reference_rows(dataset, "min", [query])[0]
         assert all(np.array_equal(row, expected) for row in rows)
+
+
+def _ladder_dataset(max_len=70, n_inside=3):
+    """Class 0 has one gene of every cell length ``1..max_len``: outside
+    row ``h`` expresses genes ``h+1..max_len``, so gene ``g`` (1-based)
+    has exactly ``g`` outside rows and every outside row is distinct."""
+    outside = np.triu(np.ones((max_len, max_len), dtype=bool))
+    inside = np.ones((n_inside, max_len), dtype=bool)
+    return RelationalDataset.from_bool_matrix(
+        np.vstack([inside, outside]),
+        [0] * n_inside + [1] * max_len,
+        class_names=["in", "out"],
+    )
+
+
+class TestFoldedCellStream:
+    """The length-bucketed, element-major ``min``/``product`` layout
+    against ``reduceat`` over the flat layout, bit for bit."""
+
+    @pytest.mark.parametrize("arithmetization", ["min", "product"])
+    @pytest.mark.parametrize("cell_budget", [None, 64])
+    def test_fold_equals_reduceat(
+        self, arithmetization, cell_budget, monkeypatch
+    ):
+        # Cell lengths 1..70 cross every power-of-two bucket boundary up to
+        # 64; a tiny element budget splits buckets' columns into chunks.
+        if cell_budget is not None:
+            monkeypatch.setattr(fast_module, "_CELL_BUDGET", cell_budget)
+        dataset = _ladder_dataset()
+        evaluator = FastBSTCEvaluator(dataset, arithmetization)
+        pc = evaluator.plan.classes[0]
+        folded = plan_module.build_cell_stream(pc, arithmetization)
+        flat = plan_module.build_cell_stream(pc, "mean")
+        assert folded.folded and not flat.folded
+        assert set(flat.cell_len.tolist()) == set(range(1, 71))
+        assert np.array_equal(folded.cell_gene, flat.cell_gene)
+        assert np.array_equal(folded.cell_row, flat.cell_row)
+        rng = np.random.default_rng(113)
+        n_pairs = pc.inside.shape[0] * pc.outside.shape[0]
+        for n_b in (1, 3):
+            pair_values = np.ones((n_b, n_pairs + 1), dtype=np.float32)
+            pair_values[:, :-1] = rng.uniform(0.5, 1.0, (n_b, n_pairs))
+            reduce = np.minimum if arithmetization == "min" else np.multiply
+            expected = reduce.reduceat(
+                np.take(pair_values, flat.elem, axis=1),
+                flat.cell_start,
+                axis=1,
+            )
+            got = evaluator._stream_values(folded, pair_values)
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("arithmetization", ["min", "product"])
+    def test_small_budget_answers_unchanged(
+        self, arithmetization, monkeypatch
+    ):
+        dataset = _ladder_dataset()
+        queries = np.random.default_rng(127).random((5, dataset.n_items)) < 0.7
+        expected = _reference_rows(dataset, arithmetization, queries)
+        monkeypatch.setattr(fast_module, "_CELL_BUDGET", 64)
+        monkeypatch.setattr(fast_module, "_WHOLE_STREAM_SHARE", 10**12)
+        rows = FastBSTCEvaluator(
+            dataset, arithmetization
+        ).classification_values_batch(queries)
+        assert np.array_equal(rows, expected)
+        _assert_matches_oracle(rows, dataset, arithmetization, queries)
+
+    @pytest.mark.parametrize("arithmetization", sorted(COMBINERS))
+    def test_padded_layout_at_most_doubles_the_stream(self, arithmetization):
+        # Rounding a length up to a power of two pads a cell by less than
+        # its own length, so the padded layout stays below twice the flat
+        # stream — the memory the folded layout may cost.
+        for dataset in (_ladder_dataset(), _wide_dataset(131)):
+            evaluator = FastBSTCEvaluator(dataset, arithmetization)
+            for class_id, pc in enumerate(evaluator.plan.classes):
+                stream = evaluator._cell_stream(class_id)
+                assert stream.n_elems <= 2 * pc.stream_elems
+                if arithmetization == "mean":
+                    assert stream.n_elems == pc.stream_elems
+                    assert stream.buckets == ()
+                else:
+                    assert stream.cell_start is None
+                    widths = [elem.shape[0] for elem in stream.buckets]
+                    assert widths == sorted(set(widths))
+                    assert all(w & (w - 1) == 0 for w in widths)
