@@ -17,7 +17,6 @@ Usage::
     python -m repro.cli serve --model tumor=model.npz --port 8000
     python -m repro.cli serve --model tumor=model.npz --port 8000 \
         --supervise --admin-token secret --max-restarts 3
-    python -m repro.cli bench --artifact model.npz --threads 8
     python -m repro.cli refresh --artifact model.npz --train grown.json
     python -m repro.cli replay --url http://127.0.0.1:8000 --drivers 4 \
         --admin-token secret --speed 1
@@ -25,7 +24,6 @@ Usage::
 The model-serving subcommands mirror the HTTP gateway's verbs —
 ``predict``, ``explain``, ``serve`` — and share its error surface: exit
 codes map 1:1 onto the HTTP statuses of :mod:`repro.serving.surface`.
-(``serve-bench`` remains a hidden alias of ``bench``.)
 
 Every command prints the engine counters afterwards: evaluator cache
 hits/misses and entries/capacity, plans compiled, batch sizes, serving
@@ -43,24 +41,15 @@ from .core.arithmetization import COMBINERS
 from .core.bitset import flush_kernel_counters
 from .core.estimator import ENGINES
 from .core.fast import evaluator_cache_info, set_evaluator_cache_size
-from .errors import CircuitOpen, ReproError, ServiceOverloaded
+from .errors import ReproError
 from .evaluation.timing import engine_counters
 from .experiments.base import ExperimentConfig
 from .experiments.registry import experiment_ids, run_experiment
-from .serving.surface import (
-    EXIT_CORRUPT,
-    EXIT_ERROR,
-    EXIT_OVERLOAD,
-    EXIT_STALE,
-    exit_code,
-)
+from .serving.surface import EXIT_ERROR, exit_code
 
-#: The serving subcommands (one per HTTP verb, plus the benchmark); these
-#: share the surface's exit-code mapping and print the counter dump.
-_SERVING_COMMANDS = ("predict", "explain", "serve", "bench", "refresh", "replay")
-
-#: Old command spellings kept working (hidden — not listed in --help).
-_COMMAND_ALIASES = {"serve-bench": "bench"}
+#: The serving subcommands (one per HTTP verb, plus refresh and replay);
+#: these share the surface's exit-code mapping and print the counter dump.
+_SERVING_COMMANDS = ("predict", "explain", "serve", "refresh", "replay")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -341,16 +330,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="bind port (0 picks an ephemeral port; default: 8000)",
     )
     serve.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help=(
-            "per-slot multi-process evaluation pool size for artifact"
-            " deployments (0 = in-process; the memmapped artifact shares"
-            " table pages across workers)"
-        ),
-    )
-    serve.add_argument(
         "--tenant-quota",
         type=int,
         default=None,
@@ -441,69 +420,6 @@ def _build_parser() -> argparse.ArgumentParser:
             " (default: 0.25; only with --supervise)"
         ),
     )
-
-    bench = sub.add_parser(
-        "bench",
-        help=(
-            "measure micro-batched serving throughput (PredictionService)"
-            " against serial single-query evaluation"
-        ),
-    )
-    bench.add_argument(
-        "--artifact", metavar="PATH", help="compiled .npz model artifact"
-    )
-    bench.add_argument(
-        "--train",
-        metavar="PATH",
-        help=(
-            "relational JSON training dataset to fit on (with --artifact"
-            " and --on-corrupt rebuild: the rebuild source)"
-        ),
-    )
-    bench.add_argument(
-        "--on-corrupt",
-        choices=("fail", "quarantine", "rebuild"),
-        default="quarantine",
-        help=(
-            "what to do when the artifact fails integrity verification"
-            " (default: quarantine)"
-        ),
-    )
-    bench.add_argument(
-        "--arithmetization",
-        choices=sorted(COMBINERS),
-        default="min",
-        help="per-cell combiner when fitting with --train (default: min)",
-    )
-    bench.add_argument(
-        "--threads", type=int, default=8, help="concurrent callers (default: 8)"
-    )
-    bench.add_argument(
-        "--requests",
-        type=int,
-        default=64,
-        help="total prediction requests (default: 64)",
-    )
-    bench.add_argument(
-        "--max-batch",
-        type=int,
-        default=8,
-        help="largest coalesced kernel batch (default: 8)",
-    )
-    bench.add_argument(
-        "--max-wait-ms",
-        type=float,
-        default=1.0,
-        help="how long an open batch waits for stragglers; opens only when"
-        " requests are already queued (default: 1.0)",
-    )
-    bench.add_argument(
-        "--query-items",
-        type=int,
-        default=None,
-        help="expressed items per synthetic query (default: n_items/20)",
-    )
-    bench.add_argument("--seed", type=int, default=1)
 
     refresh = sub.add_parser(
         "refresh",
@@ -725,28 +641,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _canonical_argv(argv: List[str]) -> List[str]:
-    """Map hidden legacy command spellings onto their canonical names.
-
-    Only the token in command position is rewritten; flags (and the value
-    of the one top-level option that takes one) are skipped, so file
-    arguments that happen to match an alias are never touched.
-    """
-    argv = list(argv)
-    i = 0
-    while i < len(argv):
-        token = argv[i]
-        if token == "--evaluator-cache-size":
-            i += 2
-            continue
-        if token.startswith("-"):
-            i += 1
-            continue
-        argv[i] = _COMMAND_ALIASES.get(token, token)
-        break
-    return argv
-
-
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(
         scale="full" if args.full else "scaled",
@@ -780,7 +674,7 @@ def _print_counters() -> None:
 
 
 def _load_model(args: argparse.Namespace):
-    """The classifier behind ``predict``/``explain``/``bench``: loaded from
+    """The classifier behind ``predict``/``explain``: loaded from
     a compiled artifact, or fitted on --train data.
 
     ``--artifact`` and ``--train`` are exclusive unless ``--on-corrupt
@@ -956,7 +850,6 @@ def _run_serve_supervised(args: argparse.Namespace) -> int:
         else workdir / "serve-state.json"
     )
     extra: List[str] = [
-        "--workers", str(args.workers),
         "--max-batch", str(args.max_batch),
         "--max-wait-ms", str(args.max_wait_ms),
     ]
@@ -1044,7 +937,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         max_wait_ms=args.max_wait_ms,
         default_deadline_ms=args.deadline_ms,
         shed_high=args.shed_high,
-        workers=args.workers,
         admin_token=admin_token,
     )
     registry = ModelRegistry(config, tenant_quota=args.tenant_quota)
@@ -1053,8 +945,7 @@ def _run_serve(args: argparse.Namespace) -> int:
             info = registry.deploy(name, path)
             print(
                 f"deployed {info.name} v{info.version}"
-                f" ({info.n_classes} classes, {info.n_items} items,"
-                f" workers={info.workers})"
+                f" ({info.n_classes} classes, {info.n_items} items)"
             )
         if args.train:
             from .core.classifier import BSTClassifier
@@ -1111,81 +1002,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         # admitted requests before the worker stops, so no accepted request
         # is dropped on the floor by a shutdown signal.
         registry.close()
-    return 0
-
-
-def _run_serve_bench(args: argparse.Namespace) -> int:
-    import threading
-    import time
-
-    import numpy as np
-
-    from .serving import PredictionService, ServeConfig, ServiceError
-
-    clf = _load_model(args)
-    n_items = clf.dataset.n_items
-    rng = np.random.default_rng(args.seed)
-    per_query = args.query_items or max(1, n_items // 20)
-    per_query = min(per_query, n_items)
-    queries = np.zeros((args.requests, n_items), dtype=bool)
-    for row in queries:
-        row[rng.choice(n_items, size=per_query, replace=False)] = True
-
-    started = time.perf_counter()
-    for query in queries:
-        clf.classification_values(query)
-    serial_elapsed = time.perf_counter() - started
-    serial_qps = args.requests / serial_elapsed if serial_elapsed else 0.0
-
-    per_thread = max(1, args.requests // args.threads)
-    outcomes_lock = threading.Lock()
-    outcomes = {"ok": 0, "rejected": 0}
-    last_rejection: List[ServiceError] = []
-    with PredictionService(
-        clf,
-        ServeConfig(max_batch=args.max_batch, max_wait_ms=args.max_wait_ms),
-    ) as service:
-
-        def caller(thread_id: int) -> None:
-            lo = thread_id * per_thread
-            for query in queries[lo : lo + per_thread]:
-                try:
-                    service.predict(query)
-                except (ServiceOverloaded, CircuitOpen) as exc:
-                    with outcomes_lock:
-                        outcomes["rejected"] += 1
-                        last_rejection[:] = [exc]
-                else:
-                    with outcomes_lock:
-                        outcomes["ok"] += 1
-
-        threads = [
-            threading.Thread(target=caller, args=(i,))
-            for i in range(args.threads)
-        ]
-        started = time.perf_counter()
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        service_elapsed = time.perf_counter() - started
-    served = outcomes["ok"]
-    if served == 0 and last_rejection:
-        # The service refused every request — surface the overload class
-        # to the exit-code mapping instead of reporting 0 q/s as success.
-        raise last_rejection[0]
-    service_qps = served / service_elapsed if service_elapsed else 0.0
-
-    print(f"serial   : {args.requests} requests, {serial_qps:10.1f} q/s")
-    print(
-        f"service  : {served} requests over {args.threads} threads,"
-        f" {service_qps:10.1f} q/s"
-        f" (max_batch={args.max_batch}, max_wait_ms={args.max_wait_ms})"
-    )
-    if outcomes["rejected"]:
-        print(f"rejected : {outcomes['rejected']} requests (overload/breaker)")
-    if serial_qps > 0:
-        print(f"speedup  : {service_qps / serial_qps:.2f}x")
     return 0
 
 
@@ -1391,7 +1207,7 @@ def _run_demo() -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _build_parser().parse_args(_canonical_argv(argv))
+    args = _build_parser().parse_args(argv)
     if args.command == "list":
         for experiment_id in experiment_ids():
             print(experiment_id)
@@ -1410,7 +1226,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             "predict": _run_predict,
             "explain": _run_explain,
             "serve": _run_serve,
-            "bench": _run_serve_bench,
             "refresh": _run_refresh,
             "replay": _run_replay,
         }[args.command]

@@ -62,7 +62,7 @@ import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import BinaryIO, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -167,6 +167,11 @@ def save_artifact(evaluator: FastBSTCEvaluator, path: PathLike) -> Path:
     mapped arena array is aligned.  It stores the compiled evaluation plan
     (format v2: the flat arena plus its geometry table).  Returns the path
     written.
+
+    The file is written to a uniquely named temporary sibling and renamed
+    over ``path``, so saving over the artifact a loaded model maps (e.g.
+    ``BSTClassifier.load(p).save(p)``) never truncates the mapped pages,
+    and a failed write leaves any existing file intact.
     """
     dataset = evaluator.dataset
     plan = evaluator.plan
@@ -187,7 +192,17 @@ def save_artifact(evaluator: FastBSTCEvaluator, path: PathLike) -> Path:
     for name in ARENA_FIELDS:
         arrays[f"arena_{name}"] = plan.arena[name]
     path = Path(path)
-    _write_npz(path, arrays)
+    tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
+    # O_EXCL: never write into a file another writer owns; mode 0o666
+    # keeps the umask-derived permissions a plain open() would give.
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "wb") as handle:
+            _write_npz(handle, arrays)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     engine_counters.increment("artifact_saves")
     return path
 
@@ -242,15 +257,16 @@ def _member_info(name: str, offset: int, size: int) -> zipfile.ZipInfo:
     return info
 
 
-def _write_npz(path: Path, arrays: Dict[str, np.ndarray]) -> None:
-    """Write ``arrays`` as an uncompressed ``.npz`` whose ``.npy`` payloads
-    all start on a :data:`_PAYLOAD_ALIGN`-byte boundary, then the
-    ``integrity.json`` member: each member's payload CRC-32 + size and the
-    root digest.  The CRCs are the ones zipfile computes while writing, so
-    saving stays write-once; each array streams straight from its buffer,
-    with no whole-file or whole-array copy."""
+def _write_npz(handle: BinaryIO, arrays: Dict[str, np.ndarray]) -> None:
+    """Write ``arrays`` to ``handle`` (positioned at its start) as an
+    uncompressed ``.npz`` whose ``.npy`` payloads all start on a
+    :data:`_PAYLOAD_ALIGN`-byte boundary, then the ``integrity.json``
+    member: each member's payload CRC-32 + size and the root digest.  The
+    CRCs are the ones zipfile computes while writing, so saving stays
+    write-once; each array streams straight from its buffer, with no
+    whole-file or whole-array copy."""
     members: Dict[str, Dict[str, int]] = {}
-    with path.open("wb") as handle, zipfile.ZipFile(handle, "w") as archive:
+    with zipfile.ZipFile(handle, "w") as archive:
         for key, value in arrays.items():
             value = np.asarray(value, order="C")
             header = io.BytesIO()
@@ -321,14 +337,9 @@ def refresh_artifact(
         # reproduce the stored plan's training blocks; any mismatch means
         # this artifact answers for different training data.
         raise ArtifactStale(f"{path}: {exc}") from exc
-    target = Path(out_path) if out_path is not None else path
-    tmp = target.with_name(target.name + ".refresh.tmp")
-    try:
-        save_artifact(refreshed, tmp)
-        os.replace(tmp, target)
-    finally:
-        if tmp.exists():
-            tmp.unlink()
+    target = save_artifact(
+        refreshed, Path(out_path) if out_path is not None else path
+    )
     engine_counters.increment("artifact_refreshes")
     return target
 

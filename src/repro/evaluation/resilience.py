@@ -64,6 +64,12 @@ _FAILURE_EXC = {
 }
 
 
+def backoff_delay(base: float, exponent: int, cap: float = math.inf) -> float:
+    """Deterministic exponential backoff: ``base * 2**exponent`` seconds,
+    at most ``cap``.  No jitter, so every retry schedule is reproducible."""
+    return min(base * (2 ** exponent), cap)
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Retry/backoff/timeout policy for supervised tasks.
@@ -95,7 +101,7 @@ class RetryPolicy:
 
     def delay(self, attempt: int) -> float:
         """Deterministic backoff before re-running after ``attempt``."""
-        return self.backoff * (2 ** (attempt - 1))
+        return backoff_delay(self.backoff, attempt - 1)
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,8 @@ makes those promises *measurable at scale*:
 * :mod:`~repro.replay.driver` — an open-loop replay driver for in-process
   registries or live HTTP gateways, with exactly-once response accounting
   keyed on trace request ids;
-* :mod:`~repro.replay.metrics` — constant-memory latency histograms and
-  the reconciliation that diffs the client's ledger against the service's
-  own counters;
+* :mod:`~repro.replay.metrics` — the reconciliation that diffs the
+  client's ledger against the service's own counters;
 * :mod:`~repro.replay.sharding` — multi-process replay: one trace split
   deterministically across N driver processes (``replay --drivers N``),
   merged back into a single exactly-once report;
@@ -45,7 +44,6 @@ from .driver import (
 from .metrics import (
     CATEGORIES,
     COUNTER_PAIRS,
-    LatencyHistogram,
     ReplayReport,
     reconcile,
 )
@@ -75,7 +73,6 @@ __all__ = [
     "ChaosMix",
     "HttpTarget",
     "InProcessTarget",
-    "LatencyHistogram",
     "Outcome",
     "ReplayDriver",
     "ReplayReport",

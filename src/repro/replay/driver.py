@@ -69,10 +69,11 @@ from ..errors import (
     TraceError,
     WorkerCrashed,
 )
+from ..evaluation.latency import LatencyHistogram
 from ..evaluation.timing import EngineCounters
 from ..serving.registry import ModelRegistry
 from ..testing.faults import FaultInjected
-from .metrics import LatencyHistogram, ReplayReport, reconcile
+from .metrics import ReplayReport, reconcile
 from .trace import ReplayTrace
 
 __all__ = [

@@ -1,27 +1,22 @@
-"""Replay metrics: fixed-bucket latency histograms and exact accounting.
+"""Replay metrics: exact accounting over a replay run.
 
-Two measurement problems, two tools:
+Tail latency is recorded in a
+:class:`~repro.evaluation.latency.LatencyHistogram` (shared with the
+benchmark suite, which must not import the replay stack): constant memory
+with geometric buckets, parallel reports merge by vector addition.
 
-* :class:`LatencyHistogram` — tail latency without storing samples.
-  The class itself lives in :mod:`repro.evaluation.latency` (it is shared
-  with the benchmark suite, which must not import the replay stack) and
-  is re-exported here so existing ``repro.replay.metrics`` imports keep
-  working: constant memory with geometric buckets (ratio sqrt(2) from
-  0.1 ms to ~2 min, ~42 buckets), quantile relative error bounded at
-  ~41% of a bucket width, parallel reports merge by vector addition.
-
-* :class:`ReplayReport` + :func:`reconcile` — *exact* accounting.  The
-  replay driver records one :class:`~repro.replay.driver.Outcome` per
-  submitted request (exactly-once, keyed by request id); the report
-  tallies them per category and diffs the service's own
-  ``registry_*``/``service_*`` counters across the run (in-process targets
-  snapshot their private sink; HTTP targets read the gateway's
-  ``GET /admin/v1/counters`` when an admin token is configured).
-  :func:`reconcile` then cross-checks the two ledgers pair by pair —
-  client-side quota rejections against ``registry_quota_rejections``,
-  shed against ``service_shed``, and so on.  A mismatch means a request
-  the client saw one way and the service recorded another: precisely the
-  lost-or-double-counted bug class this harness exists to catch.
+:class:`ReplayReport` + :func:`reconcile` do the *exact* accounting.  The
+replay driver records one :class:`~repro.replay.driver.Outcome` per
+submitted request (exactly-once, keyed by request id); the report
+tallies them per category and diffs the service's own
+``registry_*``/``service_*`` counters across the run (in-process targets
+snapshot their private sink; HTTP targets read the gateway's
+``GET /admin/v1/counters`` when an admin token is configured).
+:func:`reconcile` then cross-checks the two ledgers pair by pair —
+client-side quota rejections against ``registry_quota_rejections``,
+shed against ``service_shed``, and so on.  A mismatch means a request
+the client saw one way and the service recorded another: precisely the
+lost-or-double-counted bug class this harness exists to catch.
 """
 
 from __future__ import annotations
@@ -34,7 +29,6 @@ from ..evaluation.latency import LatencyHistogram
 __all__ = [
     "CATEGORIES",
     "COUNTER_PAIRS",
-    "LatencyHistogram",
     "ReplayReport",
     "reconcile",
 ]

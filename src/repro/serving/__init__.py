@@ -11,9 +11,8 @@ up:
   configured by one validated :class:`ServeConfig`;
 * :class:`ModelRegistry` serves many named models concurrently, each slot
   its own service queue, with zero-downtime hot swap
-  (:meth:`~repro.serving.registry.ModelRegistry.deploy`), per-tenant
-  quotas, and an optional per-slot multi-process worker pool sharing the
-  memmapped tables;
+  (:meth:`~repro.serving.registry.ModelRegistry.deploy`) and per-tenant
+  quotas;
 * :class:`GatewayServer` puts a stdlib HTTP front end on the registry
   (``POST /v1/models/{name}:predict`` / ``:explain``, ``GET /v1/models``,
   ``GET /health``, plus a token-gated ``/admin/v1/...`` control plane) —

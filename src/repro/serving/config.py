@@ -3,21 +3,14 @@
 :class:`ServeConfig` is the single knob bundle for everything that serves
 predictions — :class:`~repro.serving.service.PredictionService` directly,
 every slot of a :class:`~repro.serving.registry.ModelRegistry`, and the
-HTTP gateway's CLI wiring.  It replaces the kwarg pile that used to grow
-on ``PredictionService(...)``: construct one config, validate it once,
-hand it to as many services as you like.
-
-The old per-service keyword arguments still work for one release —
-``PredictionService(model, max_batch=8)`` folds them into a config and
-emits a :class:`DeprecationWarning` — so existing callers keep running
-while they migrate to ``PredictionService(model, ServeConfig(max_batch=8))``.
+HTTP gateway's CLI wiring: construct one config, validate it once, hand it
+to as many services as you like.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, fields, replace
-from typing import Any, Dict, Optional
+from dataclasses import dataclass, replace
+from typing import Any, Optional
 
 __all__ = ["ServeConfig"]
 
@@ -51,19 +44,6 @@ class ServeConfig:
         validate_queries: reject malformed queries at submission time with
             :class:`~repro.errors.QueryError` instead of letting them reach
             the worker.
-        adaptive_batch: let the worker tune its *effective* batch ceiling
-            between 1 and ``max_batch`` from observed batch compute latency:
-            batches costing more than the ``max_wait_ms`` straggler budget
-            shrink the ceiling (halving), comfortably cheap ones grow it
-            back (one step).  Keeps tail latency near the configured wait
-            budget when model cost drifts, without retuning ``max_batch``
-            by hand.  Requires ``max_wait_ms > 0`` (the budget being
-            adapted against).
-        workers: registry-only — size of the optional multi-process worker
-            pool behind an artifact-backed model slot (``0`` evaluates in
-            the service thread; the memmapped artifact format lets N
-            processes share table pages, so aggregate throughput scales
-            past the GIL).
         admin_token: gateway-only — shared-secret bearer token that
             enables the HTTP admin control plane (``/admin/v1/...``);
             ``None`` (the default) leaves the control plane disabled and
@@ -80,8 +60,6 @@ class ServeConfig:
     breaker_cooldown: float = 1.0
     restart_backoff: float = 0.05
     validate_queries: bool = True
-    adaptive_batch: bool = False
-    workers: int = 0
     admin_token: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -108,10 +86,6 @@ class ServeConfig:
             raise ValueError("breaker_cooldown must be >= 0")
         if self.restart_backoff < 0:
             raise ValueError("restart_backoff must be >= 0")
-        if self.adaptive_batch and self.max_wait_ms <= 0:
-            raise ValueError("adaptive_batch requires max_wait_ms > 0")
-        if self.workers < 0:
-            raise ValueError("workers must be >= 0")
         if self.admin_token is not None and not self.admin_token:
             raise ValueError("admin_token must be a non-empty string or None")
 
@@ -119,32 +93,3 @@ class ServeConfig:
         """A copy with the given fields replaced (and re-validated)."""
         return replace(self, **overrides)
 
-
-_FIELD_NAMES = tuple(f.name for f in fields(ServeConfig))
-
-
-def coalesce_config(
-    config: Optional[ServeConfig], legacy: Dict[str, Any], owner: str
-) -> ServeConfig:
-    """Fold deprecated per-call keyword arguments into a :class:`ServeConfig`.
-
-    ``legacy`` keys must be config field names; unknown keys raise
-    :class:`TypeError` exactly like a wrong keyword argument would.  Any
-    legacy key emits one :class:`DeprecationWarning` naming the migration.
-    """
-    if not legacy:
-        return config if config is not None else ServeConfig()
-    unknown = sorted(set(legacy) - set(_FIELD_NAMES))
-    if unknown:
-        raise TypeError(
-            f"{owner} got unexpected keyword argument(s): {', '.join(unknown)}"
-        )
-    warnings.warn(
-        f"passing {', '.join(sorted(legacy))} directly to {owner} is"
-        f" deprecated; pass ServeConfig({', '.join(sorted(legacy))}=...)"
-        " instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    base = config if config is not None else ServeConfig()
-    return replace(base, **legacy)

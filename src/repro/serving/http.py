@@ -96,7 +96,6 @@ def _model_info_json(info: ModelInfo) -> Dict[str, Any]:
         "n_classes": info.n_classes,
         "class_names": list(info.class_names),
         "artifact_path": info.artifact_path,
-        "workers": info.workers,
         "supports_explain": info.supports_explain,
     }
 

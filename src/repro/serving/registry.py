@@ -15,12 +15,11 @@ slot is lossless by construction:
 1. the incoming ``.npz`` is loaded via the memmap path and **eagerly**
    integrity-verified — a corrupt artifact is refused here, before
    anything changes, and the old model keeps serving;
-2. a fresh service (and optional process pool) spins up next to the old
-   one;
+2. a fresh service spins up next to the old one;
 3. the slot flips atomically under the registry lock — new submissions now
    route to the new service;
 4. the old service drains: ``close()`` answers every request it had
-   already accepted, then its worker (and pool) retire.
+   already accepted, then its worker retires.
 
 A submitter that grabbed the old slot just before the flip may race the
 drain and see :class:`~repro.errors.ServiceClosed`; the registry retries
@@ -41,7 +40,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -53,7 +52,6 @@ from ..errors import (
 )
 from ..evaluation.timing import EngineCounters, engine_counters
 from .config import ServeConfig
-from .pool import ProcessPoolModel
 from .service import PredictionService, ServiceHealth
 
 __all__ = ["ModelInfo", "ModelRegistry", "RegistryHealth"]
@@ -72,7 +70,6 @@ class ModelInfo:
     n_classes: int
     class_names: Tuple[str, ...]
     artifact_path: Optional[str]  # None for in-memory deployments
-    workers: int  # process-pool size actually serving (0 = in-process)
     supports_explain: bool
 
 
@@ -113,13 +110,10 @@ class _Slot:
     info: ModelInfo
     classifier: Any  # the Estimator behind explain/metadata
     service: PredictionService
-    pool: Optional[ProcessPoolModel]
 
     def retire(self) -> None:
         """Drain and shut down: answers everything accepted, then stops."""
         self.service.close()
-        if self.pool is not None:
-            self.pool.close()
 
 
 def _item_names(slot: _Slot) -> Tuple[str, ...]:
@@ -185,7 +179,7 @@ class ModelRegistry:
         self._check_name(name)
         cfg = config if config is not None else self._config
         # Everything expensive happens before the flip, outside the lock:
-        # verification, table mapping, pool spin-up.  A failure here is a
+        # verification and table mapping.  A failure here is a
         # no-op for the running slot.
         classifier = BSTClassifier.load(
             artifact_path,
@@ -193,19 +187,12 @@ class ModelRegistry:
             verify="eager",
             on_corrupt="fail",
         )
-        pool: Optional[ProcessPoolModel] = None
-        model: Any = classifier
-        if cfg.workers > 0:
-            pool = ProcessPoolModel(classifier, artifact_path, cfg.workers)
-            model = pool
-        service = PredictionService(model, cfg, counters=self._counters)
+        service = PredictionService(classifier, cfg, counters=self._counters)
         return self._flip(
             name,
             classifier,
             service,
-            pool,
             artifact_path=str(artifact_path),
-            workers=pool.pool_workers if pool is not None else 0,
             supports_explain=False,
         )
 
@@ -278,9 +265,7 @@ class ModelRegistry:
             name,
             estimator,
             service,
-            None,
             artifact_path=None,
-            workers=0,
             supports_explain=hasattr(estimator, "explain"),
         )
 
@@ -289,10 +274,8 @@ class ModelRegistry:
         name: str,
         classifier: Any,
         service: PredictionService,
-        pool: Optional[ProcessPoolModel],
         *,
         artifact_path: Optional[str],
-        workers: int,
         supports_explain: bool,
     ) -> ModelInfo:
         # Baselines satisfy the Estimator protocol without carrying their
@@ -316,16 +299,13 @@ class ModelRegistry:
                     n_classes=int(getattr(dataset, "n_classes", 0)),
                     class_names=tuple(getattr(dataset, "class_names", ())),
                     artifact_path=artifact_path,
-                    workers=workers,
                     supports_explain=supports_explain,
                 )
                 self._slots[name] = _Slot(
-                    info=info, classifier=classifier, service=service, pool=pool
+                    info=info, classifier=classifier, service=service
                 )
         if rejected:
             service.close()
-            if pool is not None:
-                pool.close()
             raise ServiceClosed("model registry is closed; cannot deploy")
         assert info is not None
         if old is not None:

@@ -20,11 +20,6 @@ Design points:
   (memory stays bounded no matter how fast callers arrive).  Optional
   load shedding (``shed_high``/``shed_low``) turns that blocking into a
   fast :class:`ServiceOverloaded` rejection with hysteresis.
-* **Adaptive batching** — with ``ServeConfig(adaptive_batch=True)`` the
-  worker tunes its effective batch ceiling between 1 and ``max_batch``
-  from observed batch compute latency (AIMD against the ``max_wait_ms``
-  budget), visible in :meth:`PredictionService.health` as
-  ``effective_max_batch`` and counted under ``service_adaptive_*``.
 * **Deadlines** — a per-request deadline (``deadline_ms``) travels with
   the request into the batch loop; an expired request is answered with
   :class:`DeadlineExceeded` instead of occupying a batch slot.
@@ -76,8 +71,9 @@ from ..errors import (
     ServiceOverloaded,
     WorkerCrashed,
 )
+from ..evaluation.resilience import backoff_delay
 from ..evaluation.timing import EngineCounters, engine_counters
-from .config import ServeConfig, coalesce_config
+from .config import ServeConfig
 
 __all__ = [
     "CircuitOpen",
@@ -131,10 +127,6 @@ class ServiceHealth:
     #: open) — the same number :class:`CircuitOpen.retry_after` would carry,
     #: but observable without submitting a request.
     breaker_retry_after: float = 0.0
-    #: The batch ceiling the worker is currently assembling to.  Equals the
-    #: configured ``max_batch`` unless ``adaptive_batch`` has tuned it down
-    #: (or back up) from observed batch compute latency.
-    effective_max_batch: int = 0
 
     @property
     def ready(self) -> bool:
@@ -160,11 +152,6 @@ class PredictionService:
         counters: counter sink (defaults to the process-wide
             :data:`~repro.evaluation.timing.engine_counters`).
 
-    Passing the config fields as individual keyword arguments
-    (``PredictionService(model, max_batch=8)``) is deprecated: they are
-    folded into the config with a :class:`DeprecationWarning` and will be
-    removed one release after the registry API landed.
-
     The worker thread starts immediately; the service is usable as a
     context manager and closes cleanly on exit.
     """
@@ -175,9 +162,9 @@ class PredictionService:
         config: Optional[ServeConfig] = None,
         *,
         counters: Optional[EngineCounters] = None,
-        **legacy: Any,
     ):
-        config = coalesce_config(config, legacy, "PredictionService")
+        if config is None:
+            config = ServeConfig()
         self._config = config
         self._model = model
         self._max_batch = int(config.max_batch)
@@ -194,10 +181,6 @@ class PredictionService:
         self._breaker_cooldown = float(config.breaker_cooldown)
         self._restart_backoff = float(config.restart_backoff)
         self._validate = bool(config.validate_queries)
-        self._adaptive = bool(config.adaptive_batch)
-        #: Current batch ceiling (<= max_batch); mutated under _state_lock
-        #: by the AIMD controller when adaptive_batch is on.
-        self._effective_max_batch = self._max_batch
         self._queue: "queue.Queue[Any]" = queue.Queue(
             maxsize=int(config.max_pending)
         )
@@ -344,7 +327,6 @@ class PredictionService:
                 shedding=self._shedding,
                 answered=self._answered,
                 breaker_retry_after=retry_after,
-                effective_max_batch=self._effective_max_batch,
             )
 
     # ------------------------------------------------------------------
@@ -490,9 +472,7 @@ class PredictionService:
             window = self._max_wait if self._queue.qsize() else 0.0
             deadline = time.monotonic() + window
             saw_shutdown = False
-            with self._state_lock:
-                batch_limit = self._effective_max_batch
-            while len(batch) < batch_limit:
+            while len(batch) < self._max_batch:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     # Batch window closed; take only what is already queued.
@@ -577,7 +557,6 @@ class PredictionService:
         self._counters.increment("service_batched_queries", len(batch))
         self._counters.observe_max("max_service_batch", len(batch))
         self._counters.add_seconds("service_compute", finished - started)
-        self._adapt(finished - started)
         for row, request in zip(values, batch):
             request.values = row
             self._counters.add_seconds(
@@ -586,29 +565,6 @@ class PredictionService:
             self._answered += 1
             request.done.set()
         return None
-
-    def _adapt(self, compute_seconds: float) -> None:
-        """AIMD batch-ceiling controller, fed by each successful batch.
-
-        A batch whose kernel time blew past twice the ``max_wait_ms``
-        straggler budget halves the effective ceiling (multiplicative
-        decrease — latency recovers fast); one comfortably under half the
-        budget raises it by one (additive increase — throughput creeps back
-        as the model speeds up).  The ceiling never leaves ``[1,
-        max_batch]``; moves are counted under ``service_adaptive_shrinks``
-        / ``service_adaptive_grows``.
-        """
-        if not self._adaptive:
-            return
-        budget = self._max_wait
-        with self._state_lock:
-            current = self._effective_max_batch
-            if compute_seconds > 2.0 * budget and current > 1:
-                self._effective_max_batch = max(1, current // 2)
-                self._counters.increment("service_adaptive_shrinks")
-            elif compute_seconds < 0.5 * budget and current < self._max_batch:
-                self._effective_max_batch = current + 1
-                self._counters.increment("service_adaptive_grows")
 
     def _on_worker_crash(self, exc: BaseException) -> None:
         """Supervisor: fail over the in-flight batch, restart the worker
@@ -636,11 +592,11 @@ class PredictionService:
             restarts = self._restarts
         self._counters.increment("service_worker_restarts")
         if self._restart_backoff > 0:
-            delay = min(
-                self._restart_backoff * 2 ** (restarts - 1),
-                _RESTART_BACKOFF_CAP,
+            time.sleep(
+                backoff_delay(
+                    self._restart_backoff, restarts - 1, _RESTART_BACKOFF_CAP
+                )
             )
-            time.sleep(delay)
         replacement = threading.Thread(
             target=self._worker_main,
             name=f"prediction-service-r{restarts}",

@@ -50,6 +50,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
 
 from ..errors import RestartBudgetExhausted, SupervisorError
+from ..evaluation.resilience import backoff_delay
 
 __all__ = [
     "GatewaySupervisor",
@@ -62,6 +63,9 @@ __all__ = [
 
 #: Version tag of the serve state file (the last-known-good artifact set).
 STATE_SCHEMA = "repro.serve-state/1"
+
+#: Ceiling on any single restart delay, seconds.
+_BACKOFF_CAP = 5.0
 
 PathLike = Union[str, Path]
 
@@ -180,8 +184,8 @@ class GatewaySupervisor:
         ready_file: path the child writes its base URL to on listen.
         max_restarts: crash recoveries allowed before escalation.
         backoff_base: base of the deterministic exponential restart delay
-            (``backoff_base * 2**n`` seconds for the n-th restart).
-        backoff_cap: ceiling on any single restart delay, seconds.
+            (``backoff_base * 2**n`` seconds for the n-th restart, at most
+            5 s).
         ready_timeout: seconds a (re)spawned child gets to become ready.
         probe_interval: seconds between liveness probes (0 disables).
         probe_failures: consecutive connection-level probe failures that
@@ -203,7 +207,6 @@ class GatewaySupervisor:
         ready_file: PathLike,
         max_restarts: int = 3,
         backoff_base: float = 0.25,
-        backoff_cap: float = 5.0,
         ready_timeout: float = 60.0,
         probe_interval: float = 1.0,
         probe_failures: int = 3,
@@ -212,7 +215,7 @@ class GatewaySupervisor:
     ):
         if max_restarts < 0:
             raise ValueError("max_restarts must be >= 0")
-        if backoff_base < 0 or backoff_cap < 0:
+        if backoff_base < 0:
             raise ValueError("backoff must be >= 0")
         if ready_timeout <= 0:
             raise ValueError("ready_timeout must be positive")
@@ -224,7 +227,6 @@ class GatewaySupervisor:
         self._ready_file = Path(ready_file)
         self._max_restarts = max_restarts
         self._backoff_base = backoff_base
-        self._backoff_cap = backoff_cap
         self._ready_timeout = ready_timeout
         self._probe_interval = probe_interval
         self._probe_failures = probe_failures
@@ -459,9 +461,7 @@ class GatewaySupervisor:
             )
             self._finish("failed", None)
             return False
-        delay = min(
-            self._backoff_base * (2 ** self._restarts), self._backoff_cap
-        )
+        delay = backoff_delay(self._backoff_base, self._restarts, _BACKOFF_CAP)
         self._state = "restarting"
         self._restarts += 1
         self._log(

@@ -2,7 +2,11 @@
 integrity verification and quarantine."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
+import textwrap
 import zipfile
 
 import numpy as np
@@ -622,6 +626,66 @@ class TestClassifierSaveLoad:
         loaded = BSTClassifier.load(clf.save(tmp_path / "clf.npz"))
         with pytest.raises(ValueError, match="artifact"):
             loaded.bsts
+
+    def test_save_over_the_mapped_artifact_keeps_answers(self, tmp_path):
+        # Saving a memory-mapped model over the file it maps must not
+        # truncate the mapped pages.  When it does, the next read of the
+        # map dies with SIGBUS, so the check runs in a child process.
+        script = textwrap.dedent(
+            """
+            import sys
+            import numpy as np
+            from repro.core.classifier import BSTClassifier
+            from repro.core.fast import clear_evaluator_cache
+            from repro.datasets.dataset import RelationalDataset
+
+            path = sys.argv[1]
+            rng = np.random.default_rng(5)
+            dataset = RelationalDataset.from_bool_matrix(
+                rng.random((40, 60)) < 0.3,
+                labels=tuple(int(x) for x in rng.integers(0, 3, size=40)),
+            )
+            BSTClassifier().fit(dataset).save(path)
+            clear_evaluator_cache()
+            loaded = BSTClassifier.load(path)
+            queries = rng.random((16, 60)) < 0.3
+            before = loaded.classification_values_batch(queries)
+            loaded.save(path)
+            after = loaded.classification_values_batch(queries)
+            clear_evaluator_cache()
+            reloaded = BSTClassifier.load(path, verify="eager")
+            again = reloaded.classification_values_batch(queries)
+            assert np.array_equal(before, after)
+            assert np.array_equal(before, again)
+            print("same-answers")
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "clf.npz")],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert result.returncode == 0, (result.returncode, result.stderr)
+        assert "same-answers" in result.stdout
+
+    def test_failed_save_keeps_the_old_file(self, tmp_path, example, monkeypatch):
+        import repro.core.artifact as artifact_module
+
+        path = BSTClassifier().fit(example).save(tmp_path / "clf.npz")
+        original = path.read_bytes()
+
+        def failing_write(handle, arrays):
+            handle.write(b"PK partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(artifact_module, "_write_npz", failing_write)
+        with pytest.raises(OSError, match="disk full"):
+            BSTClassifier().fit(example).save(path)
+        assert path.read_bytes() == original
+        assert [p.name for p in tmp_path.iterdir()] == ["clf.npz"]
 
     def test_unfitted_save(self, tmp_path):
         from repro.core.estimator import NotFittedError

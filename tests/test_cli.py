@@ -11,7 +11,7 @@ from repro.datasets.io import save_relational_json
 
 @pytest.fixture
 def relational_files(tmp_path):
-    """Training and query JSON files for predict/serve-bench runs."""
+    """Training and query JSON files for predict runs."""
     rng = np.random.default_rng(17)
     train = RelationalDataset.from_bool_matrix(
         rng.random((24, 30)) < 0.35,
@@ -206,62 +206,6 @@ class TestPredictCommand:
         assert "error" in capsys.readouterr().err
 
 
-class TestServeBenchCommand:
-    def test_serve_bench_from_artifact(self, capsys, tmp_path, relational_files):
-        train_path, query_path = relational_files
-        artifact = tmp_path / "model.npz"
-        main(
-            [
-                "predict",
-                "--train",
-                str(train_path),
-                "--data",
-                str(query_path),
-                "--save-artifact",
-                str(artifact),
-            ]
-        )
-        capsys.readouterr()
-        clear_evaluator_cache()
-        code = main(
-            [
-                "serve-bench",
-                "--artifact",
-                str(artifact),
-                "--threads",
-                "4",
-                "--requests",
-                "16",
-                "--max-batch",
-                "4",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "serial" in out and "service" in out and "speedup" in out
-        assert "service_batches" in out
-        assert "max_service_batch" in out
-        assert "service_latency_seconds" in out
-
-    def test_serve_bench_from_training_data(self, capsys, relational_files):
-        train_path, _ = relational_files
-        code = main(
-            [
-                "serve-bench",
-                "--train",
-                str(train_path),
-                "--threads",
-                "2",
-                "--requests",
-                "8",
-                "--query-items",
-                "5",
-            ]
-        )
-        assert code == 0
-        assert "q/s" in capsys.readouterr().out
-
-
 def _saved_artifact(tmp_path, relational_files, capsys):
     train_path, query_path = relational_files
     artifact = tmp_path / "model.npz"
@@ -383,29 +327,19 @@ class TestExitCodes:
         assert code == 2
         assert "required" in capsys.readouterr().err
 
-    def test_overloaded_serve_bench_exits_5(
-        self, capsys, tmp_path, relational_files, monkeypatch
+    def test_overloaded_predict_exits_5(
+        self, capsys, relational_files, monkeypatch
     ):
-        import repro.serving as serving
+        import repro.cli as cli
         from repro.errors import ServiceOverloaded
 
-        artifact, _, _ = _saved_artifact(tmp_path, relational_files, capsys)
+        def overloaded(args):
+            raise ServiceOverloaded(depth=99, high_water=1)
 
-        class AlwaysOverloaded(serving.PredictionService):
-            def _check_admission(self, now):
-                raise ServiceOverloaded(depth=99, high_water=1)
-
-        monkeypatch.setattr(serving, "PredictionService", AlwaysOverloaded)
+        monkeypatch.setattr(cli, "_load_model", overloaded)
+        train_path, query_path = relational_files
         code = main(
-            [
-                "serve-bench",
-                "--artifact",
-                str(artifact),
-                "--threads",
-                "2",
-                "--requests",
-                "8",
-            ]
+            ["predict", "--train", str(train_path), "--data", str(query_path)]
         )
         assert code == 5
         assert "overloaded" in capsys.readouterr().err

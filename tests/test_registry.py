@@ -4,7 +4,6 @@ import inspect
 import shutil
 import threading
 
-import numpy as np
 import pytest
 
 import repro.errors as errors_module
@@ -351,31 +350,3 @@ class TestErrorSurface:
         assert exc.retry_after == 1.25
         assert http_status(exc) == 503
 
-
-class TestProcessPool:
-    def test_pooled_deploy_serves_bit_identical_values(
-        self, tmp_path, example
-    ):
-        clf = BSTClassifier().fit(example)
-        artifact = clf.save(tmp_path / "m.npz")
-        counters = EngineCounters()
-        registry = ModelRegistry(counters=counters)
-        try:
-            info = registry.deploy(
-                "exp", artifact, config=ServeConfig(workers=2)
-            )
-            assert info.workers == 2
-            rng = np.random.default_rng(11)
-            queries = [
-                rng.random(example.n_items) < 0.4 for _ in range(12)
-            ]
-            served = np.stack(
-                [
-                    registry.classification_values("exp", q)
-                    for q in queries
-                ]
-            )
-        finally:
-            registry.close()
-        direct = clf.classification_values_batch(np.stack(queries))
-        assert np.array_equal(served, direct)

@@ -26,12 +26,12 @@ import pytest
 from repro.core.classifier import BSTClassifier
 from repro.datasets.dataset import running_example
 from repro.errors import TraceError
+from repro.evaluation.latency import LatencyHistogram
 from repro.evaluation.timing import EngineCounters
 from repro.replay import (
     CATEGORIES,
     ChaosMix,
     HttpTarget,
-    LatencyHistogram,
     ReplayDriver,
     ReplayTrace,
     Slo,

@@ -901,8 +901,8 @@ class TestEvaluatorCacheConcurrency:
 
 
 class TestServeConfigSurface:
-    """The redesigned config surface: one validated ServeConfig, legacy
-    kwargs folded in with a deprecation warning."""
+    """The config surface: one validated ServeConfig is the only way to
+    pass service settings."""
 
     def test_config_object_is_the_canonical_path(self, evaluator):
         config = ServeConfig(max_batch=4, max_wait_ms=0.5)
@@ -916,35 +916,12 @@ class TestServeConfigSurface:
             np.argmax(evaluator.classification_values({0, 3, 4}))
         )
 
-    def test_legacy_kwargs_warn_and_fold(self, evaluator):
-        with pytest.warns(DeprecationWarning, match="ServeConfig"):
-            service = PredictionService(
-                evaluator, max_batch=4, counters=EngineCounters()
-            )
-        try:
-            assert service.config.max_batch == 4
-            # Untouched fields keep their defaults.
-            assert service.config.max_pending == ServeConfig().max_pending
-        finally:
-            service.close()
-
-    def test_legacy_kwargs_override_config(self, evaluator):
-        with pytest.warns(DeprecationWarning):
-            service = PredictionService(
-                evaluator,
-                ServeConfig(max_batch=4, max_wait_ms=7.0),
-                max_batch=9,
-                counters=EngineCounters(),
-            )
-        try:
-            assert service.config.max_batch == 9
-            assert service.config.max_wait_ms == 7.0
-        finally:
-            service.close()
-
     def test_unknown_kwarg_is_a_type_error(self, evaluator):
         with pytest.raises(TypeError, match="max_bach"):
             PredictionService(evaluator, max_bach=4)
+        # Config fields are not keyword arguments of the service either.
+        with pytest.raises(TypeError, match="max_batch"):
+            PredictionService(evaluator, max_batch=4)
 
     def test_config_is_frozen_and_validated(self):
         import dataclasses
@@ -954,8 +931,6 @@ class TestServeConfigSurface:
             config.max_batch = 2
         with pytest.raises(ValueError):
             ServeConfig(shed_low=4)  # shed_low needs shed_high
-        with pytest.raises(ValueError):
-            ServeConfig(workers=-1)
         assert ServeConfig(shed_high=8).shed_low == 4  # hysteresis default
 
     def test_with_overrides_revalidates(self):
@@ -964,73 +939,3 @@ class TestServeConfigSurface:
         with pytest.raises(ValueError):
             config.with_overrides(max_batch=0)
 
-
-class TestAdaptiveBatching:
-    """The AIMD batch-ceiling controller behind adaptive_batch=True."""
-
-    def test_requires_wait_budget(self):
-        with pytest.raises(ValueError, match="adaptive_batch"):
-            ServeConfig(adaptive_batch=True, max_wait_ms=0)
-
-    def test_disabled_by_default(self, evaluator):
-        counters = EngineCounters()
-        with make_service(
-            evaluator, max_batch=8, counters=counters
-        ) as service:
-            service.predict({0, 1})
-            health = service.health()
-            assert health.effective_max_batch == 8
-            # The controller never moves when adaptive_batch is off.
-            service._adapt(100.0)
-            assert service.health().effective_max_batch == 8
-        assert counters.get("service_adaptive_shrinks") == 0
-        assert counters.get("service_adaptive_grows") == 0
-
-    def test_controller_shrinks_and_regrows(self, evaluator):
-        # Drive the controller directly: deterministic, no sleeps.
-        counters = EngineCounters()
-        config = ServeConfig(max_batch=8, max_wait_ms=10.0, adaptive_batch=True)
-        with make_service(evaluator, config, counters=counters) as service:
-            budget = 10.0 / 1000.0
-            # Over 2x the budget: multiplicative decrease 8 -> 4 -> 2 -> 1.
-            for expected in (4, 2, 1, 1):
-                service._adapt(3.0 * budget)
-                assert service.health().effective_max_batch == expected
-            assert counters.get("service_adaptive_shrinks") == 3
-            # Under half the budget: additive increase back to the cap.
-            for expected in (2, 3, 4):
-                service._adapt(0.1 * budget)
-                assert service.health().effective_max_batch == expected
-            for _ in range(10):
-                service._adapt(0.1 * budget)
-            assert service.health().effective_max_batch == 8  # capped
-            assert counters.get("service_adaptive_grows") == 7  # 1 -> 8
-            # In the comfort band (between 0.5x and 2x): no move.
-            service._adapt(1.0 * budget)
-            assert service.health().effective_max_batch == 8
-
-    def test_slow_model_shrinks_under_load(self, evaluator):
-        class _SlowModel:
-            def __init__(self, inner, delay):
-                self.inner = inner
-                self.delay = delay
-
-            @property
-            def dataset(self):
-                return self.inner.dataset
-
-            def classification_values_batch(self, queries):
-                time.sleep(self.delay)
-                return self.inner.classification_values_batch(queries)
-
-        counters = EngineCounters()
-        config = ServeConfig(
-            max_batch=8, max_wait_ms=2.0, adaptive_batch=True
-        )
-        slow = _SlowModel(evaluator, delay=0.02)  # 5x the 4ms shrink bar
-        with make_service(slow, config, counters=counters) as service:
-            for _ in range(4):
-                service.predict({0, 1})
-            health = service.health()
-            assert health.effective_max_batch == 1
-        assert counters.get("service_adaptive_shrinks") >= 3
