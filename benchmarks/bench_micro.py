@@ -326,8 +326,10 @@ def test_plan_kernel_us_per_query():
     """Absolute plan-kernel cost on the sparse serving profile.
 
     Wide vocabularies (thousands of items) probed by sparse queries (tens
-    of expressed genes each) in batches of 64 — the regime the kernel's
-    per-query matmul restriction serves.  Records the best-of-3 wall time
+    of expressed genes each) in batches of 64: each query compacts to one
+    64-bit word of columns, so the kernel's cost is its sort and
+    cumulative OR over every ``(inside, outside)`` row pair, not the
+    vocabulary.  Records the best-of-3 wall time
     per query (``plan_kernel_us_per_query``), the compiled arena's size
     (``plan_arena_bytes``, deterministic for the profile) and per-batch
     latency percentiles; ``scripts/bench_trend.py`` gates the first two as
@@ -517,7 +519,7 @@ def test_artifact_integrity_overhead(tmp_path):
     # surface as ArtifactCorrupt under eager verification.
     corrupt = tmp_path / "corrupt.npz"
     corrupt.write_bytes(path.read_bytes())
-    corrupt_artifact_member(corrupt, "arena_inside_f.npy")
+    corrupt_artifact_member(corrupt, "arena_pair_len.npy")
     with pytest.raises(ArtifactCorrupt):
         load_artifact(corrupt, verify="eager", on_corrupt="fail")
 

@@ -14,12 +14,10 @@ from .culling import (
     cull_bst,
     cull_cell_lists,
     culling_ratio,
-    duplicate_row_keep_mask,
 )
 
 __all__ += [
     "cull_bst",
     "cull_cell_lists",
     "culling_ratio",
-    "duplicate_row_keep_mask",
 ]

@@ -23,8 +23,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-import numpy as np
-
 from .table import BST, BSTCell, ExclusionList
 
 
@@ -75,55 +73,6 @@ def cull_bst(bst: BST) -> BST:
         cells=culled_cells,
         pair_lists=dict(bst._pair_lists),
     )
-
-
-def duplicate_row_keep_mask(matrix: np.ndarray) -> np.ndarray:
-    """Boolean keep-mask over the rows of a boolean matrix: the first
-    occurrence of every distinct row is kept, later exact duplicates are
-    dropped.
-
-    This is the *value-preserving* subset of the cull above, used by the
-    compiled evaluation plans (:mod:`repro.core.plan`): two identical
-    outside rows ``h1 == h2`` produce identical pair exclusion lists
-    against every class row *and* express exactly the same genes, so under
-    the idempotent ``min`` arithmetization dropping the duplicate from
-    every cell's combine leaves each quantized cell value bit-identical —
-    unlike the general implication cull, which can change Algorithm 5's
-    numbers.  Deterministic: ties always keep the lowest row index.
-    """
-    return duplicate_row_keep_mask_blocks((matrix,))
-
-
-def duplicate_row_keep_mask_blocks(
-    blocks: Tuple[np.ndarray, ...]
-) -> np.ndarray:
-    """:func:`duplicate_row_keep_mask` over the virtual row-stack of
-    ``blocks`` (same column count each) without materializing the stack —
-    the delta recompile holds the old and appended outside rows as
-    separate arrays and must not pay an O(rows × genes) copy to ask which
-    appended rows are duplicates.
-    """
-    # Hash-based first-occurrence scan: one packed-row hash per row beats
-    # np.unique's lexicographic row sort by an order of magnitude on wide
-    # matrices, and byte-keyed set membership is exact (no collision
-    # risk — equal keys mean equal rows).  Equal column counts give equal
-    # packbits padding, so keys compare identically across blocks.
-    seen = set()
-    keeps = []
-    for block in blocks:
-        block = np.asarray(block, dtype=bool)
-        keep = np.zeros(block.shape[0], dtype=bool)
-        if block.shape[0]:
-            packed = np.packbits(block, axis=1)
-            for i in range(block.shape[0]):
-                key = packed[i].tobytes()
-                if key not in seen:
-                    seen.add(key)
-                    keep[i] = True
-        keeps.append(keep)
-    if not keeps:
-        return np.zeros(0, dtype=bool)
-    return np.concatenate(keeps)
 
 
 def culling_ratio(original: BST, culled: BST) -> float:

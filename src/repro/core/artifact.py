@@ -9,7 +9,7 @@ start.  This module removes that cost from the serving path:
   plan** (:mod:`repro.core.plan`) — one flat ``arena_<field>`` member per
   structure-of-arrays field plus a tiny int64 geometry table — alongside
   the arithmetization, the training-data fingerprint and a format version,
-  in a single uncompressed ``.npz`` file (format v2);
+  in a single uncompressed ``.npz`` file (format v3);
 * :func:`load_artifact` reconstructs a working evaluator **without
   recompiling anything**: every stored array is memory-mapped straight out
   of the zip archive (members are stored uncompressed, so each embedded
@@ -18,8 +18,10 @@ start.  This module removes that cost from the serving path:
   boundary, and older unaligned files map too) and the per-class plan views
   are rebuilt over the mapped arena without copying a byte.  Cold start
   becomes a zip-directory parse plus a few header reads; arena pages fault
-  in lazily as the first queries touch them.  Format v1 artifacts (the
-  retired per-class table layout) are refused with an
+  in lazily as the first queries touch them.  Format v2 artifacts still
+  load: their arena is a superset of v3's with identical dtypes, so the
+  extra members and geometry columns are ignored.  Format v1 artifacts
+  (the retired per-class table layout) are refused with an
   :class:`ArtifactError` that says to refit and save the model again.
 
 A loaded evaluator carries a :class:`DatasetSummary` instead of the full
@@ -70,7 +72,7 @@ from ..errors import ReproError
 from ..evaluation.timing import engine_counters
 from .arithmetization import get_combiner
 from .fast import FastBSTCEvaluator, discard_evaluator
-from .plan import ARENA_FIELDS, plan_from_arena
+from .plan import ARENA_FIELDS, GEOMETRY_COLUMNS, plan_from_arena
 
 PathLike = Union[str, Path]
 
@@ -85,9 +87,13 @@ __all__ = [
     "save_artifact",
 ]
 
-#: Bumped whenever the stored array layout changes incompatibly.  Loaders
-#: refuse every other version instead of guessing.
-ARTIFACT_FORMAT_VERSION = 2
+#: Bumped whenever the stored array layout changes.  Loaders refuse every
+#: version outside :data:`_READABLE_VERSIONS` instead of guessing.
+ARTIFACT_FORMAT_VERSION = 3
+#: Format 2 stored four geometry columns and seven more arena members
+#: (float32 row copies, gather lists, counts and masks); its ``inside``,
+#: ``outside``, ``pair_len`` and ``pair_neg`` are format 3's, byte for byte.
+_READABLE_VERSIONS = (2, ARTIFACT_FORMAT_VERSION)
 
 
 #: Zip member carrying the per-member CRCs and the root digest.
@@ -165,8 +171,8 @@ def save_artifact(evaluator: FastBSTCEvaluator, path: PathLike) -> Path:
     already compact.  Every member's ``.npy`` payload starts on a
     :data:`_PAYLOAD_ALIGN`-byte boundary (:func:`_write_npz`), so every
     mapped arena array is aligned.  It stores the compiled evaluation plan
-    (format v2: the flat arena plus its geometry table).  Returns the path
-    written.
+    (format v3: the four-member arena plus its geometry table).  Returns
+    the path written.
 
     The file is written to a uniquely named temporary sibling and renamed
     over ``path``, so saving over the artifact a loaded model maps (e.g.
@@ -187,7 +193,6 @@ def save_artifact(evaluator: FastBSTCEvaluator, path: PathLike) -> Path:
         "meta_item_names": np.array(list(dataset.item_names)),
         "meta_class_names": np.array(list(dataset.class_names)),
         "meta_plan_geometry": plan.geometry,
-        "meta_plan_culled_refs": np.array(plan.culled_refs, dtype=np.int64),
     }
     for name in ARENA_FIELDS:
         arrays[f"arena_{name}"] = plan.arena[name]
@@ -661,17 +666,13 @@ class _ArtifactReader:
 # ----------------------------------------------------------------------
 
 
-#: Arena members whose dtype the kernels rely on structurally (the index
-#: and weight members may legitimately vary between the narrow and wide
-#: dtypes, so only their sizes are validated).
+#: Arena members whose dtype the kernel relies on structurally
+#: (``pair_len`` may legitimately be float32 or the wide float64, so only
+#: its size is validated).
 _ARENA_FIXED_DTYPES: Dict[str, np.dtype] = {
     "inside": np.dtype(bool),
     "outside": np.dtype(bool),
     "pair_neg": np.dtype(bool),
-    "gene_mask": np.dtype(bool),
-    "blackdot_mask": np.dtype(bool),
-    "inside_f": np.dtype(np.float32),
-    "outside_f": np.dtype(np.float32),
 }
 
 
@@ -680,18 +681,21 @@ def _load_plan(
     reader: "_ArtifactReader",
     summary: DatasetSummary,
     arithmetization: str,
+    version: int,
     on_corrupt: str,
 ) -> FastBSTCEvaluator:
     """Rebuild the compiled plan's per-class views over the stored arena —
     the zero-copy path: every view is a slice of a (typically memory-mapped)
-    ``arena_<field>`` member."""
+    ``arena_<field>`` member.  Members and geometry columns past format 3's
+    (a format 2 file's) are never read."""
     geometry = reader.eager("meta_plan_geometry")
     if geometry.ndim != 2 or geometry.shape[0] != summary.n_classes:
         raise ArtifactError(
             f"{path}: plan geometry has shape {tuple(geometry.shape)}, which"
             f" does not cover every class ({summary.n_classes})"
         )
-    culled_refs = int(reader.eager("meta_plan_culled_refs"))
+    if version == 2:
+        geometry = geometry[:, :GEOMETRY_COLUMNS]
     arena: Dict[str, np.ndarray] = {}
     try:
         for name in ARENA_FIELDS:
@@ -706,9 +710,7 @@ def _load_plan(
             )
     with engine_counters.track("artifact_load"):
         try:
-            plan = plan_from_arena(
-                arena, geometry, summary.n_items, culled_refs=culled_refs
-            )
+            plan = plan_from_arena(arena, geometry, summary.n_items)
         except ValueError as exc:
             raise ArtifactError(f"{path}: {exc}") from exc
         return FastBSTCEvaluator._from_plan(summary, arithmetization, plan)
@@ -811,10 +813,10 @@ def load_artifact(
                 elif table_names:
                     deferred = (table_names, records, verify_offsets)
         version = int(reader.eager("meta_format_version"))
-        if version != ARTIFACT_FORMAT_VERSION:
+        if version not in _READABLE_VERSIONS:
             raise ArtifactError(
                 f"{path}: artifact format version {version} is not supported"
-                f" (this build reads version {ARTIFACT_FORMAT_VERSION});"
+                f" (this build reads versions {_READABLE_VERSIONS});"
                 " refit the model and save it again"
             )
         arithmetization = str(reader.eager("meta_arithmetization"))
@@ -852,7 +854,7 @@ def load_artifact(
             class_names=class_names,
         )
         evaluator = _load_plan(
-            path, reader, summary, arithmetization, on_corrupt
+            path, reader, summary, arithmetization, version, on_corrupt
         )
         # Lazy mode: the table payloads are checked by the first query that
         # touches the evaluator, before any prediction is produced.

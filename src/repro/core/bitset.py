@@ -49,10 +49,11 @@ _U64 = np.uint64
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
-def _swar_popcount_words(words: np.ndarray) -> int:
-    """Vectorized SWAR popcount — the numpy < 2.0 fallback, always defined
-    so it stays testable (and forceable via ``REPRO_FORCE_SWAR``)."""
-    x = words.copy()
+def _swar_popcount(words: np.ndarray) -> np.ndarray:
+    """Vectorized SWAR popcount of every ``uint64`` word — the numpy < 2.0
+    fallback, always defined so it stays testable (and forceable via
+    ``REPRO_FORCE_SWAR``).  Never mutates ``words``."""
+    x = np.asarray(words, dtype=_U64).copy()
     m1 = np.uint64(0x5555555555555555)
     m2 = np.uint64(0x3333333333333333)
     m4 = np.uint64(0x0F0F0F0F0F0F0F0F)
@@ -60,7 +61,12 @@ def _swar_popcount_words(words: np.ndarray) -> int:
     x -= (x >> np.uint64(1)) & m1
     x = (x & m2) + ((x >> np.uint64(2)) & m2)
     x = (x + (x >> np.uint64(4))) & m4
-    return int(((x * h01) >> np.uint64(56)).sum())
+    return (x * h01) >> np.uint64(56)
+
+
+def _swar_popcount_words(words: np.ndarray) -> int:
+    """Total set bits across an array of uint64 words (SWAR)."""
+    return int(_swar_popcount(words).sum())
 
 
 def _native_popcount_words(words: np.ndarray) -> int:
@@ -72,8 +78,13 @@ _FORCE_SWAR = os.environ.get("REPRO_FORCE_SWAR", "") not in ("", "0")
 
 if hasattr(np, "bitwise_count") and not _FORCE_SWAR:
     _popcount_words = _native_popcount_words
+    #: Elementwise set-bit count of a ``uint64`` array: every packed
+    #: popcount (bitset rows, the BSTCE kernel) goes through it, so
+    #: ``REPRO_FORCE_SWAR`` switches all of them to the fallback at once.
+    popcount = np.bitwise_count
 else:
     _popcount_words = _swar_popcount_words
+    popcount = _swar_popcount
 
 
 class _KernelStats:
@@ -465,12 +476,7 @@ class BitMatrix:
         _stats.popcounts += 1
         if not self._words.size:
             return np.zeros(self.n_rows, dtype=np.int64)
-        if hasattr(np, "bitwise_count"):
-            return np.bitwise_count(self._words).sum(axis=1).astype(np.int64)
-        return np.array(
-            [_popcount_words(self._words[i]) for i in range(self.n_rows)],
-            dtype=np.int64,
-        )
+        return popcount(self._words).sum(axis=1, dtype=np.int64)
 
     def to_bool(self) -> np.ndarray:
         out = np.zeros((self.n_rows, self._n_cols), dtype=bool)
@@ -605,4 +611,5 @@ __all__ = [
     "BitMatrix",
     "flush_kernel_counters",
     "kernel_stats_snapshot",
+    "popcount",
 ]

@@ -6,35 +6,42 @@ materializing BST cells, by exploiting the structure of exclusion lists:
 
 * The shared list for a pair ``(c, h)`` is ``items(h) - items(c)`` (negated)
   or the fallback ``items(c) - items(h)`` (positive), so for a query ``Q``
-  its satisfied-literal count follows from three inner products:
-  ``|h ∩ Q|``, ``|c ∩ Q|``, and ``|c ∩ h ∩ Q|``.
-* The cell ``(g, c)`` combines the pair values ``V[c, h]`` over the outside
-  samples ``h`` expressing ``g`` (a black dot is the empty case, valued 1).
+  its satisfied-literal count follows from three counts: ``|h ∩ Q|``,
+  ``|c ∩ Q|`` and ``|c ∩ h ∩ Q|``, and its value is ``V[c, h] = sat / len``.
+* The cell ``(g, c)`` combines ``V[c, h]`` over the outside samples ``h``
+  expressing ``g`` (a black dot is the empty case, valued 1).
 
-There is one kernel, :meth:`FastBSTCEvaluator.classification_values_batch`.
-Per-class state lives in the compiled plan's flat structure-of-arrays
-arena (:mod:`repro.core.plan`): fused pair weights, downcast dtypes,
-duplicate-outside-row culling.  Per block of queries the dominant cost is
-one stacked pair-count matmul per class — restricted to each query's own
-expressed genes for sparse serving queries — then gathers of the
-selected cells' elements, their reduction and a ``bincount``.  Dense
-blocks value the class's :class:`~repro.core.plan.CellStream` (built once,
-the first time a dense block needs it) with one fold per cell-length
-bucket under ``min``/``product``; sparse blocks gather run by run,
-addressed straight from the plan's CSR lists, so a sparse query never
-pays for the stream.
+There is one kernel, :meth:`FastBSTCEvaluator.classification_values_batch`,
+over the compiled plan's four-member arena (:mod:`repro.core.plan`).  Per
+class and block of queries it compacts the row blocks to the queries' own
+expressed columns, computes the three counts and ``V``, then one exact
+method per arithmetization:
+
+* ``min`` (the paper's Algorithm 5): sort each inside row's outside rows
+  by ``V``.  A gene's cell value is ``V`` at the first sorted row that
+  expresses it, so the row's cell sum is ``Σ_k V_(k) · new_k``, where
+  ``new_k`` counts the query genes of ``c`` that row ``k`` covers first:
+  one cumulative ``bitwise_or`` over the packed outside rows and one
+  popcount per ``(c, k)``.  Duplicate outside rows change nothing.
+* ``mean``: the cell values are ``(V @ O_Q) / cnt`` (``O_Q`` the outside
+  rows on the query's columns, ``cnt`` their column counts).
+* ``product``: ``exp(log V @ O_Q)``, zeroed where a zero-count matmul
+  finds a ``V = 0`` factor.
+
 :meth:`~FastBSTCEvaluator.classification_values` and
 :meth:`~FastBSTCEvaluator.class_value` are a batch of one.
 
-A query's values do not depend on the batch it rides in: every pair count
-is small-integer float32 arithmetic (exact below 2**24), the single
-rounding operation is the final ``sat / len`` division, and each (query,
-class) column sum adds its cells in ascending gene order.  So every
-in-process path — single query, any batch size, memory-mapped, eager or
-delta-refreshed artifact, the micro-batching service — returns the same
-bits.  Against the oracle the values agree within 2**-24 under ``min``
-(each pair value is the correctly rounded float32 quotient of two exact
-integers) and within 1e-5 under ``product`` and ``mean``.
+A query's values do not depend on the batch it rides in.  Every count is
+small-integer arithmetic, the single rounding operation is the ``sat /
+len`` division, and under ``min`` every float64 cell sum is exact (the
+bound is :data:`~repro.core.plan.EXACT_SUM_BITS`), so any summation order
+gives the same bits; ``product`` and ``mean`` run one query at a time,
+with shapes that depend only on that query.  So every in-process path —
+single query, any batch size, memory-mapped, eager or delta-refreshed
+artifact, the micro-batching service — returns the same bits.  Against
+the oracle the values agree within 2**-24 under ``min`` (each pair value
+is the correctly rounded float32 quotient of two exact integers) and
+within 1e-5 under ``product`` and ``mean``.
 
 Evaluators are cached process-wide by :func:`get_evaluator`, keyed on the
 ``(dataset fingerprint, arithmetization)`` pair, so repeated CV phases and
@@ -45,56 +52,25 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple, Union
+from typing import AbstractSet, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..datasets.dataset import RelationalDataset
 from ..evaluation.timing import engine_counters
 from .arithmetization import get_combiner
-from .plan import (
-    CellStream,
-    EvaluationPlan,
-    PlanClass,
-    address_dtype,
-    build_cell_stream,
-    compile_plan,
-    recompile_delta,
-)
+from .bitset import popcount
+from .plan import EvaluationPlan, PlanClass, compile_plan, recompile_delta
 
 Query = Union[AbstractSet[int], np.ndarray]
 
 #: Queries evaluated together inside one batched block.
 _BATCH_BLOCK = 64
-#: Element cap for a block's working arrays; a quarter of it bounds the
-#: cell-stream elements one chunk gathers.
-_CELL_BUDGET = 1 << 23
-#: Item-count floor for the sparse-column matmul restriction: below this the
-#: pair-value matmuls are dispatch-bound and slicing only adds overhead.
-_SPARSE_MIN_ITEMS = 256
-#: Batch-density ceiling (as ``1 / _PER_QUERY_SPARSITY``) below which the
-#: plan kernel computes each query's pair counts over only *its own*
-#: expressed columns instead of one stacked full-width matmul.  Exact
-#: either way (the skipped terms are exact ``+0.0``); purely a cost model.
-_PER_QUERY_SPARSITY = 8
-#: A block that selects at least ``1 / _WHOLE_STREAM_SHARE`` of its
-#: ``block × stream`` elements gathers the whole cell stream and masks the
-#: cells by query; a sparser block gathers only its genes' runs, one
-#: ``take`` per run, addressed straight from the plan's CSR lists (no
-#: stream needed).  Both give the same cell values in the same order;
-#: purely a cost model.  A third lies between the measured crossovers: the
-#: whole stream wins from a share of ≈ 0.3 on ALL-profile queries (runs of
-#: ~14 elements), and only from ≈ 0.5 on long-run (thousands of elements)
-#: synthetic serving profiles.
-_WHOLE_STREAM_SHARE = 3
-
-#: Serializes the lazy cell-stream builds (module-level, so evaluators
-#: stay picklable); a class's stream is built at most once per evaluator.
-_STREAM_LOCK = threading.Lock()
-
-
-def _join(pieces: List[np.ndarray]) -> np.ndarray:
-    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+#: Word budget (8-byte elements) of a block's largest working arrays: a
+#: block is split into groups of queries whose compacted row blocks and
+#: gathered ``min`` words fit in it, and a group's gathered words are
+#: split by inside rows.  Purely a memory bound; values never depend on it.
+_WORD_BUDGET = 1 << 18
 
 
 class FastBSTCEvaluator:
@@ -113,11 +89,10 @@ class FastBSTCEvaluator:
         self.dataset = dataset
         self.arithmetization = arithmetization
         with engine_counters.track("plan_build"):
-            self._plan = compile_plan(dataset, arithmetization)
+            self._plan = compile_plan(dataset)
         #: Deferred artifact verification (set by ``load_artifact`` under
         #: ``verify="lazy"``); runs before the first query's kernel work.
         self._integrity_guard = None
-        self._streams: Dict[int, CellStream] = {}
         engine_counters.increment("evaluator_builds")
 
     @classmethod
@@ -142,7 +117,6 @@ class FastBSTCEvaluator:
         self.arithmetization = arithmetization
         self._plan = plan
         self._integrity_guard = None
-        self._streams = {}
         engine_counters.increment("evaluator_restores")
         return self
 
@@ -164,30 +138,11 @@ class FastBSTCEvaluator:
         if self._integrity_guard is not None:
             self._integrity_guard()
         plan = recompile_delta(
-            self._plan,
-            dataset,
-            int(self.dataset.n_samples),
-            self.arithmetization,
+            self._plan, dataset, int(self.dataset.n_samples)
         )
         return FastBSTCEvaluator._from_plan(
             dataset, self.arithmetization, plan
         )
-
-    def _cell_stream(self, class_id: int) -> CellStream:
-        """Class ``class_id``'s cell stream, built the first time a block
-        of its queries takes the whole-stream method — a sparse query never
-        pays for it.  Built under a lock, so concurrent first queries build
-        it once; a stream is never stored in an artifact."""
-        stream = self._streams.get(class_id)
-        if stream is None:
-            with _STREAM_LOCK:
-                stream = self._streams.get(class_id)
-                if stream is None:
-                    stream = build_cell_stream(
-                        self._plan.classes[class_id], self.arithmetization
-                    )
-                    self._streams[class_id] = stream
-        return stream
 
     # ------------------------------------------------------------------
     def _as_vector(self, query: Query) -> np.ndarray:
@@ -227,291 +182,53 @@ class FastBSTCEvaluator:
             return np.zeros((0, self.dataset.n_items), dtype=bool)
         return np.stack(rows)
 
-    @staticmethod
-    def _sparse_columns(qmat: np.ndarray) -> Optional[np.ndarray]:
-        """Expressed item columns of a batch of boolean queries, when
-        restricting the pair-value matmuls to them saves real work.
-
-        Every inner product behind the pair values only accumulates over
-        items the batch expresses (the other terms are exact ``+0.0``), so
-        for sparse batches the dominant ``(n_c x |G|) @ (|G| x n_o)``
-        matmul shrinks to the expressed columns.  Returns ``None`` when the
-        batch is dense enough (or the vocabulary small enough) that the
-        full-width matmul is cheaper than slicing.
-        """
-        n_items = qmat.shape[1]
-        if n_items < _SPARSE_MIN_ITEMS:
-            return None
-        cols = np.flatnonzero(qmat.any(axis=0))
-        if cols.size > n_items // 2:
-            return None
-        return cols
-
     # ------------------------------------------------------------------
     # The batched plan kernel
     # ------------------------------------------------------------------
-    def _pair_matrix(self, pc: PlanClass, qmat: np.ndarray) -> np.ndarray:
-        """V[b, c, h] for a block of queries, as ``(B, n_c·n_o + 1)``:
-        query-major, so query ``b``'s pair values are one contiguous row
-        the cell stream's element addresses index directly.  The last slot
-        of each row is the identity sentinel ``1.0`` a ``product`` stream
-        pads its short cells with.
-
-        For sparse batches each query's inner products are restricted to
-        *its own* expressed columns — B small matmuls of width ``|Q_b|``
-        instead of one stacked matmul over the batch union — which is
-        exact (the skipped terms are exact ``+0.0``) and, on serving-shaped
-        queries, cuts the dominant matmul cost by the sparsity factor.
-        """
-        n_b = qmat.shape[0]
-        n_c, n_o = pc.inside.shape[0], pc.outside.shape[0]
-        n_items = qmat.shape[1]
-        per_query = (
-            n_items >= _SPARSE_MIN_ITEMS
-            and int(qmat.sum()) * _PER_QUERY_SPARSITY <= n_b * n_items
-        )
-        if per_query:
-            hq = np.empty((n_b, n_o), dtype=np.float32)
-            cq = np.empty((n_b, n_c), dtype=np.float32)
-            chq = np.empty((n_b, n_c, n_o), dtype=np.float32)
-            for b in range(n_b):
-                cols = np.flatnonzero(qmat[b])
-                ins = pc.inside_f[:, cols]
-                outs = pc.outside_f[:, cols]
-                hq[b] = outs.sum(axis=1)
-                cq[b] = ins.sum(axis=1)
-                chq[b] = ins @ outs.T
-        else:
-            cols = self._sparse_columns(qmat)
-            if cols is not None:
-                Qf = qmat[:, cols].astype(np.float32)
-                inside_f = pc.inside_f[:, cols]
-                outside_f = pc.outside_f[:, cols]
-            else:
-                Qf = qmat.astype(np.float32)
-                inside_f = pc.inside_f
-                outside_f = pc.outside_f
-            hq = Qf @ outside_f.T                           # (B, n_o)
-            cq = Qf @ inside_f.T                            # (B, n_c)
-            n_width = Qf.shape[1]
-            masked = Qf[:, None, :] * inside_f[None, :, :]  # (B, n_c, w)
-            chq = (masked.reshape(n_b * n_c, n_width) @ outside_f.T).reshape(
-                n_b, n_c, n_o
-            )
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sat = np.where(
-                pc.pair_neg[None, :, :],
-                pc.pair_len[None, :, :] - (hq[:, None, :] - chq),
-                cq[:, :, None] - chq,
-            )
-            values = np.where(
-                pc.pair_len[None, :, :] > 0,
-                sat / pc.pair_len[None, :, :],
-                0.0,
-            )
-        out = np.empty((n_b, n_c * n_o + 1), dtype=np.float32)
-        out[:, :-1] = values.reshape(n_b, -1)
-        out[:, -1] = 1.0
-        return out
-
-    def _reduce_segments(
-        self, gathered: np.ndarray, starts: np.ndarray, lengths: np.ndarray
-    ) -> np.ndarray:
-        """Combine contiguous pair-value segments (one per non-blank,
-        non-black-dot cell) along the last axis of a gathered stream — the
-        arithmetization applied without any dense masking."""
-        if self.arithmetization == "min":
-            return np.minimum.reduceat(gathered, starts, axis=-1)
-        if self.arithmetization == "product":
-            return np.multiply.reduceat(gathered, starts, axis=-1)
-        sums = np.add.reduceat(gathered, starts, axis=-1)
-        return sums / np.asarray(lengths, dtype=np.float32)
-
     def _class_block_values(
-        self, class_id: int, pc: PlanClass, qmat: np.ndarray
+        self, pc: PlanClass, columns: np.ndarray, counts: np.ndarray
     ) -> np.ndarray:
         """BSTCE values of one class for a block of stacked queries.
 
-        Column counts and black-dot contributions are two batched boolean
-        matmuls.  The remaining cells are the non-blank, non-black-dot
-        ``(query, gene, inside row)`` combinations: per block the work is
-        the pair values, the selected cells' values — from the class's
-        :class:`~repro.core.plan.CellStream` or run by run — and their
-        ``bincount`` onto the column sums.  Every (query, class)
-        bin adds its cells in ascending gene order, starting from zero, so
-        a query's value does not depend on its batchmates or on which cell
-        selection method ran.
+        Column ``c`` of the class's BST holds the query genes inside row
+        ``c`` expresses: one per black dot plus the cell values.  The
+        class value is the mean of the non-blank columns' means.  ``min``
+        evaluates groups of queries together, as many as the word budget
+        holds; ``product`` and ``mean`` one query at a time.  ``columns``
+        and ``counts`` are :func:`_query_columns` of the block.
         """
-        n_b = qmat.shape[0]
-        values = np.zeros(n_b, dtype=np.float64)
-        relevant = qmat & pc.gene_mask[None, :]  # (B, n_items)
-        if not relevant.any():
-            return values
-        rel_f = relevant.astype(np.float32)
-        col_count = (rel_f @ pc.inside_f.T).astype(np.float64)  # (B, n_c)
-        col_sum = (
-            (relevant & pc.blackdot_mask).astype(np.float32)
-            @ pc.inside_f.T
-        ).astype(np.float64)
-        n_c = pc.inside.shape[0]
-        # One run per (query, gene) with cells: the gene's inside rows,
-        # each combining the gene's (culled) outside rows.
-        b_idx, g_idx = np.nonzero(relevant & pc.has_outside)
-        if b_idx.size:
-            pair_values = self._pair_matrix(pc, qmat)
-            run_rows = pc.gene_rows[g_idx]
-            run_len = pc.outside_counts[g_idx].astype(np.int64)
-            selected = int(np.dot(run_rows, run_len))
-            if selected * _WHOLE_STREAM_SHARE >= n_b * pc.stream_elems:
-                col_sum += self._stream_cells(
-                    self._cell_stream(class_id), pair_values, qmat, n_c
-                )
+        n_b = columns.shape[0]
+        n_c, n_o = pc.pair_len.shape
+        if self.arithmetization == "min":
+            width = columns.shape[1]
+            per_query = (n_c + n_o) * width // 2 + n_c * n_o * (width // 64)
+            step = max(1, _WORD_BUDGET // max(per_query, 1))
+        else:
+            step = 1
+        col_count = np.empty((n_b, n_c), dtype=np.float64)
+        col_sum = np.empty((n_b, n_c), dtype=np.float64)
+        for lo in range(0, n_b, step):
+            hi = min(lo + step, n_b)
+            width = _padded_width(int(counts[lo:hi].max()))
+            ins, outs = _compact(pc, columns[lo:hi, :width], counts[lo:hi])
+            values, cq = _pair_values(pc, ins, outs)
+            col_count[lo:hi] = cq
+            if self.arithmetization == "min":
+                cells, covered = _min_cell_sums(values, ins, outs)
+                # Genes of c no outside row expresses are black dots.
+                col_sum[lo:hi] = (cq - covered) + cells
             else:
-                col_sum += self._run_cells(
-                    pc, pair_values, b_idx, g_idx, run_rows, run_len
+                col_sum[lo] = _closed_form_column_sums(
+                    self.arithmetization, values[0], ins[0], outs[0]
                 )
         nonblank = col_count > 0
         safe_count = np.where(nonblank, col_count, 1.0)
         column_means = np.where(nonblank, col_sum / safe_count, 0.0)
         n_cols = nonblank.sum(axis=1)
         has_cols = n_cols > 0
+        values = np.zeros(n_b, dtype=np.float64)
         values[has_cols] = column_means.sum(axis=1)[has_cols] / n_cols[has_cols]
         return values
-
-    def _stream_values(
-        self, stream: CellStream, pair_values: np.ndarray
-    ) -> np.ndarray:
-        """``(B, n_cells)`` value of every stream cell for every query of a
-        block, in stream order.
-
-        A folded stream takes one gather and one ``reduce(axis=1)`` per
-        length bucket — the same sequential left fold ``reduceat`` runs,
-        so the same bits — then one ``take`` through ``restore``; a flat
-        one (``mean``) one gather and one ``reduceat``.  Either way the
-        gathers are chunked so one chunk's ``(B, elements)`` array stays
-        within the element budget, splitting a bucket's columns if need
-        be.
-        """
-        n_b = pair_values.shape[0]
-        budget = max(1, (_CELL_BUDGET >> 2) // n_b)
-        if stream.folded:
-            fold = np.minimum if self.arithmetization == "min" else np.multiply
-            # Seeded with an empty part: a stream may have no buckets.
-            parts = [np.empty((n_b, 0), dtype=np.float32)]
-            for elem in stream.buckets:
-                width, n_bucket = elem.shape
-                step = max(1, budget // width)
-                for lo in range(0, n_bucket, step):
-                    gathered = np.take(
-                        pair_values, elem[:, lo:lo + step], axis=1
-                    )  # (B, width, cells)
-                    parts.append(fold.reduce(gathered, axis=1))
-            return np.concatenate(parts, axis=1).take(stream.restore, axis=1)
-        n_cells = stream.cell_gene.size
-        vals = np.empty((n_b, n_cells), dtype=np.float32)
-        first = 0
-        while first < n_cells:
-            e0 = int(stream.cell_start[first])
-            last = int(np.searchsorted(stream.cell_start, e0 + budget, "right"))
-            last = max(last, first + 1)
-            e1 = (
-                int(stream.cell_start[last]) if last < n_cells
-                else stream.n_elems
-            )
-            gathered = np.take(pair_values, stream.elem[e0:e1], axis=1)
-            vals[:, first:last] = self._reduce_segments(
-                gathered,
-                stream.cell_start[first:last] - e0,
-                stream.cell_len[first:last],
-            )
-            first = last
-        return vals
-
-    def _stream_cells(
-        self,
-        stream: CellStream,
-        pair_values: np.ndarray,
-        qmat: np.ndarray,
-        n_c: int,
-    ) -> np.ndarray:
-        """``(B, n_c)`` sums of a block's selected cell values, by valuing
-        the whole stream for every query (:meth:`_stream_values`).  Cells
-        of genes a query does not express are multiplied to ``+0.0`` (cell
-        values are finite and non-negative), which leaves every sum exact,
-        and each query's cells are summed in stream order by one
-        ``bincount``."""
-        vals = self._stream_values(stream, pair_values)
-        vals *= qmat[:, stream.cell_gene]
-        sums = np.empty((qmat.shape[0], n_c), dtype=np.float64)
-        for b in range(qmat.shape[0]):
-            sums[b] = np.bincount(
-                stream.cell_row, weights=vals[b], minlength=n_c
-            )
-        return sums
-
-    def _run_cells(
-        self,
-        pc: PlanClass,
-        pair_values: np.ndarray,
-        b_idx: np.ndarray,
-        g_idx: np.ndarray,
-        run_rows: np.ndarray,
-        run_len: np.ndarray,
-    ) -> np.ndarray:
-        """``(B, n_c)`` sums of a block's selected cell values, by
-        gathering each ``(query, gene)`` run with its own ``take``.
-
-        A run is the gene's inside rows times its culled outside rows, so
-        its addresses are one outer sum ``row·n_o + h`` over the plan's CSR
-        lists: row-major, each cell's elements stay contiguous and in
-        ``h_flat`` order, exactly as in the cell stream.  Runs come
-        query-major in ascending gene order (``np.nonzero``) and are
-        chunked so one chunk's gathered elements stay within the element
-        budget.
-        """
-        n_c, n_o = pc.inside.shape[0], pc.outside.shape[0]
-        row_dtype = address_dtype(n_c, n_o)
-        run_elems = run_rows * run_len
-        ends = np.cumsum(run_elems)
-        budget = max(1, _CELL_BUDGET >> 2)
-        codes: List[np.ndarray] = []
-        vals: List[np.ndarray] = []
-        first = 0
-        while first < g_idx.size:
-            base = int(ends[first]) - int(run_elems[first])
-            last = int(np.searchsorted(ends, base + budget, "right"))
-            last = max(last, first + 1)
-            genes = g_idx[first:last]
-            gathered: List[np.ndarray] = []
-            rows: List[np.ndarray] = []
-            for b, r0, r1, h0, m in zip(
-                b_idx[first:last].tolist(),
-                pc.inside_row_offsets[genes].tolist(),
-                pc.inside_row_offsets[genes + 1].tolist(),
-                pc.h_offsets[genes].tolist(),
-                run_len[first:last].tolist(),
-            ):
-                run = pc.inside_rows[r0:r1]
-                addresses = np.add.outer(
-                    run.astype(row_dtype) * n_o, pc.h_flat[h0:h0 + m]
-                )
-                gathered.append(pair_values[b].take(addresses.ravel()))
-                rows.append(run)
-            cells = run_rows[first:last]
-            cell_len = np.repeat(run_len[first:last], cells)
-            vals.append(
-                self._reduce_segments(
-                    _join(gathered), np.cumsum(cell_len) - cell_len, cell_len
-                )
-            )
-            codes.append(
-                np.repeat(b_idx[first:last] * n_c, cells) + _join(rows)
-            )
-            first = last
-        n_b = pair_values.shape[0]
-        return np.bincount(
-            _join(codes), weights=_join(vals), minlength=n_b * n_c
-        ).reshape(n_b, n_c)
 
     def class_value(self, class_id: int, query: Query) -> float:
         """BSTCE(T(class_id), Q) — Algorithm 5's classification value."""
@@ -530,9 +247,8 @@ class FastBSTCEvaluator:
         """CV(i) for every class of every query — shape ``(n_queries,
         n_classes)``.
 
-        Computed with batched matmuls and a gene reduction shared across
-        each block of ``_BATCH_BLOCK`` queries; each row is bit-identical
-        to that query's batch of one.
+        Evaluated in blocks of ``_BATCH_BLOCK`` queries; each row is
+        bit-identical to that query's batch of one.
         """
         if self._integrity_guard is not None:
             self._integrity_guard()
@@ -546,14 +262,153 @@ class FastBSTCEvaluator:
             engine_counters.increment("batch_queries", n_q)
             engine_counters.observe_max("max_batch_size", n_q)
             for start in range(0, n_q, _BATCH_BLOCK):
-                block = qmat[start : start + _BATCH_BLOCK]
+                columns, counts = _query_columns(
+                    qmat[start : start + _BATCH_BLOCK]
+                )
                 for class_id, pc in enumerate(self._plan.classes):
                     if pc is None:
                         continue
                     out[start : start + _BATCH_BLOCK, class_id] = (
-                        self._class_block_values(class_id, pc, block)
+                        self._class_block_values(pc, columns, counts)
                     )
         return out
+
+
+# ----------------------------------------------------------------------
+# Kernel stages
+# ----------------------------------------------------------------------
+
+
+def _padded_width(n_columns: int) -> int:
+    """``n_columns`` rounded up to whole 64-bit words (at least one)."""
+    return 64 * max(1, -(-n_columns // 64))
+
+
+def _query_columns(qmat: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(columns, counts)`` of a block of queries: each query's expressed
+    item ids in ascending order, as a ``(B, width)`` index array padded
+    past ``counts[b]`` (the padding is masked out by :func:`_compact`)."""
+    counts = np.count_nonzero(qmat, axis=1)
+    width = _padded_width(int(counts.max()))
+    columns = np.zeros((qmat.shape[0], width), dtype=np.intp)
+    columns[np.arange(width) < counts[:, None]] = np.nonzero(qmat)[1]
+    return columns, counts
+
+
+def _compact(
+    pc: PlanClass, columns: np.ndarray, counts: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The class's row blocks on each query's own columns: ``(B, n_c, w)``
+    and ``(B, n_o, w)`` C-ordered bool, every column past a query's count
+    an all-false sentinel, so no count changes."""
+    valid = (np.arange(columns.shape[1]) < counts[:, None])[:, None, :]
+    blocks = []
+    for rows in (pc.inside, pc.outside):
+        block = np.ascontiguousarray(rows[:, columns].transpose(1, 0, 2))
+        block &= valid
+        blocks.append(block)
+    return blocks[0], blocks[1]
+
+
+def _pair_values(
+    pc: PlanClass, ins: np.ndarray, outs: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(V, |c ∩ Q|)``: every pair value ``V[b, c, h]`` as float32 and
+    each inside row's query-gene count, ``(B, n_c)``.  The counts are
+    small integers, exact in float32, so the single rounding is
+    ``sat / len``."""
+    ins_f = ins.astype(np.float32)
+    outs_f = outs.astype(np.float32)
+    chq = np.matmul(ins_f, outs_f.transpose(0, 2, 1))   # |c ∩ h ∩ Q|
+    cq = ins_f.sum(axis=2)
+    hq = outs_f.sum(axis=2)
+    sat = np.where(
+        pc.pair_neg, pc.pair_len - (hq[:, None, :] - chq), cq[:, :, None] - chq
+    )
+    values = np.divide(
+        sat, pc.pair_len, out=np.zeros(sat.shape, dtype=sat.dtype),
+        where=pc.pair_len > 0,
+    )
+    return values.astype(np.float32, copy=False), cq
+
+
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """C-ordered bool rows of a whole number of 64-column words as
+    ``uint64`` words (the bit order is immaterial: every row of a block
+    packs the same way)."""
+    return np.packbits(bits, axis=-1).view(np.uint64)
+
+
+def _min_cell_sums(
+    values: np.ndarray, ins: np.ndarray, outs: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(cell sums, covered genes)`` per ``(query, inside row)`` under
+    ``min``, both ``(B, n_c)``.
+
+    Sorting row ``c``'s outside rows by ``V`` puts each gene's minimum at
+    the first sorted row expressing it, so with ``cover_k`` the query
+    genes of ``c`` the first ``k`` sorted rows express (one cumulative
+    ``bitwise_or`` and a popcount), the cell sum is ``Σ_k V_(k) ·
+    (cover_k - cover_(k-1))``.  Every term and partial sum is exact in
+    float64 within :data:`~repro.core.plan.EXACT_SUM_BITS`, so neither
+    the order of equal values nor the chunking changes a bit.  The
+    gathered words are processed in chunks of inside rows within the word
+    budget.
+    """
+    n_b, n_c, n_o = values.shape
+    if n_o == 0:
+        zeros = np.zeros((n_b, n_c), dtype=np.int64)
+        return zeros.astype(np.float64), zeros
+    n_rows = n_b * n_c
+    outside_words = _pack(outs)                       # (B, n_o, words)
+    n_words = outside_words.shape[2]
+    outside_words = outside_words.reshape(n_b * n_o, n_words)
+    inside_words = _pack(ins).reshape(n_rows, 1, n_words)
+    # Each row's outside rows by ascending V, as rows of outside_words.
+    order = np.argsort(values, axis=2).reshape(n_rows, n_o)
+    if n_b > 1:
+        order += np.repeat(np.arange(0, n_b * n_o, n_o), n_c)[:, None]
+    sorted_values = np.sort(values, axis=2).reshape(n_rows, n_o)
+    cells = np.empty(n_rows, dtype=np.float64)
+    covered = np.empty(n_rows, dtype=np.int64)
+    step = max(1, _WORD_BUDGET // (n_o * n_words))
+    for lo in range(0, n_rows, step):
+        rows = slice(lo, lo + step)
+        words = outside_words.take(order[rows], axis=0)  # (rows, n_o, words)
+        np.bitwise_or.accumulate(words, axis=1, out=words)
+        words &= inside_words[rows]
+        cover = popcount(words).sum(axis=2, dtype=np.int64)
+        covered[rows] = cover[:, -1]
+        cover[:, 1:] -= cover[:, :-1]                 # newly covered genes
+        cells[rows] = (sorted_values[rows] * cover).sum(axis=1)
+    return cells.reshape(n_b, n_c), covered.reshape(n_b, n_c)
+
+
+def _closed_form_column_sums(
+    arithmetization: str, values: np.ndarray, ins: np.ndarray,
+    outs: np.ndarray,
+) -> np.ndarray:
+    """``(n_c,)`` column sums of one query under ``mean`` or ``product``,
+    black dots included, in float64.
+
+    With ``O`` the outside rows on the query's columns and ``cnt`` its
+    column counts, a cell's ``mean`` is ``(V @ O) / cnt`` and its
+    ``product`` ``exp(log V @ O)``, zeroed where ``(V = 0) @ O`` finds a
+    zero factor; a column no outside row expresses is a black dot, 1.
+    """
+    o = outs.astype(np.float64)
+    v = values.astype(np.float64)
+    counts = o.sum(axis=0)
+    if arithmetization == "mean":
+        cells = np.divide(
+            v @ o, counts, out=np.ones((v.shape[0], o.shape[1])),
+            where=counts > 0,
+        )
+    else:
+        zero = v == 0.0
+        cells = np.exp(np.log(np.where(zero, 1.0, v)) @ o)
+        cells[(zero.astype(np.float64) @ o) > 0] = 0.0
+    return (cells * ins).sum(axis=1)
 
 
 # ----------------------------------------------------------------------

@@ -617,7 +617,7 @@ def prepare_inprocess_target(
         if chaos.corrupt_swaps_at_ms:
             corrupt_path = workdir / "corrupt.npz"
             corrupt_path.write_bytes(clean_path.read_bytes())
-            corrupt_artifact_member(corrupt_path, "arena_inside_f.npy")
+            corrupt_artifact_member(corrupt_path, "arena_pair_len.npy")
 
     needs_flaky = bool(chaos.error_windows or chaos.poison_fraction)
     model_names = sorted(
@@ -681,7 +681,7 @@ def prepare_http_target(
         if chaos.corrupt_swaps_at_ms:
             corrupt_path = workdir / "corrupt.npz"
             corrupt_path.write_bytes(clean_path.read_bytes())
-            corrupt_artifact_member(corrupt_path, "arena_inside_f.npy")
+            corrupt_artifact_member(corrupt_path, "arena_pair_len.npy")
     return HttpTarget(
         base_url,
         timeout,

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import textwrap
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -246,6 +247,39 @@ class TestAlignedPayloads:
         )
 
 
+#: A format 2 model saved by the release before format 3 (an 18 × 24
+#: seeded boolean dataset, 3 classes, duplicate rows, ``min``) and its
+#: values on 20 seeded queries, computed by that release's kernel.
+_FORMAT2 = Path(__file__).with_name("data") / "format2_min.npz"
+_FORMAT2_EXPECTED = Path(__file__).with_name("data") / "format2_min_expected.npz"
+
+
+class TestFormat2Compatibility:
+    """Format 2 stored four geometry columns and seven more arena members;
+    its ``inside``/``outside``/``pair_len``/``pair_neg`` are format 3's, so
+    it loads and answers exactly as the release that saved it."""
+
+    @pytest.mark.parametrize("mmap", [True, False])
+    @pytest.mark.parametrize("verify", ["lazy", "eager"])
+    def test_loads_and_reproduces_recorded_values(self, tmp_path, verify, mmap):
+        path = Path(shutil.copy(_FORMAT2, tmp_path / "v2.npz"))
+        with np.load(path) as npz:
+            assert int(npz["meta_format_version"]) == 2
+            assert npz["meta_plan_geometry"].shape[1] == 4
+        with np.load(_FORMAT2_EXPECTED) as recorded:
+            queries, values = recorded["queries"], recorded["values"]
+            fingerprint = str(recorded["fingerprint"])
+        loaded = load_artifact(
+            path, expected_fingerprint=fingerprint, mmap=mmap, verify=verify
+        )
+        assert loaded.arithmetization == "min"
+        assert tuple(loaded.plan.arena) == ARENA_FIELDS
+        assert np.array_equal(loaded.classification_values_batch(queries), values)
+        assert np.array_equal(
+            np.stack([loaded.classification_values(q) for q in queries]), values
+        )
+
+
 class TestValidation:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ArtifactError, match="no such artifact"):
@@ -302,7 +336,7 @@ class TestValidation:
         with np.load(path) as npz:
             arrays = {k: npz[k] for k in npz.files}
         geometry = arrays["meta_plan_geometry"].copy()
-        geometry[0, 2] += 1  # claim one more h_flat reference than stored
+        geometry[0, 1] += 1  # claim one more outside row than stored
         arrays["meta_plan_geometry"] = geometry
         bad = tmp_path / "bad.npz"
         with bad.open("wb") as handle:

@@ -552,6 +552,59 @@ class TestSwarPopcount:
         assert result.returncode == 0, result.stderr
         assert "forced-swar-ok" in result.stdout
 
+    def test_elementwise_swar_matches_native(self):
+        from repro.core.bitset import _swar_popcount
+
+        words = np.random.default_rng(11).integers(
+            0, 2**64, size=(3, 5), dtype=np.uint64
+        )
+        expected = [[bin(int(w)).count("1") for w in row] for row in words]
+        assert _swar_popcount(words).tolist() == expected
+
+    def test_forced_swar_row_counts_and_kernel_match(self):
+        # Under REPRO_FORCE_SWAR every popcount — BitMatrix.row_counts and
+        # the BSTCE kernel's — takes the SWAR fallback and gives the same
+        # answers as this process.
+        import os
+        import subprocess
+        import sys
+
+        script = (
+            "import numpy as np\n"
+            "from repro.core import bitset\n"
+            "from repro.core.fast import FastBSTCEvaluator\n"
+            "from repro.datasets.dataset import RelationalDataset\n"
+            "assert bitset.popcount is bitset._swar_popcount\n"
+            "rng = np.random.default_rng(5)\n"
+            "rows = rng.random((30, 150)) < 0.3\n"
+            "labels = [i % 3 for i in range(30)]\n"
+            "counts = bitset.BitMatrix.from_bool(rows).row_counts()\n"
+            "print(counts.tolist())\n"
+            "ev = FastBSTCEvaluator("
+            "RelationalDataset.from_bool_matrix(rows, labels))\n"
+            "print(ev.classification_values_batch("
+            "rng.random((4, 150)) < 0.4).tobytes().hex())\n"
+        )
+        env = dict(os.environ, REPRO_FORCE_SWAR="1")
+        env["PYTHONPATH"] = os.pathsep.join(sys.path)
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        counts_line, values_line = result.stdout.strip().splitlines()
+        from repro.core.fast import FastBSTCEvaluator
+        from repro.datasets.dataset import RelationalDataset
+
+        rng = np.random.default_rng(5)
+        rows = rng.random((30, 150)) < 0.3
+        assert counts_line == str(rows.sum(axis=1).tolist())
+        ev = FastBSTCEvaluator(
+            RelationalDataset.from_bool_matrix(rows, [i % 3 for i in range(30)])
+        )
+        values = ev.classification_values_batch(rng.random((4, 150)) < 0.4)
+        assert values_line == values.tobytes().hex()
+
     def test_default_prefers_native_when_available(self):
         from repro.core import bitset
 

@@ -686,7 +686,7 @@ class TestAdminPlane:
 
         server, _, _ = admin_gateway
         bad = BSTClassifier().fit(example).save(tmp_path / "bad.npz")
-        corrupt_artifact_member(bad, "arena_inside_f.npy")
+        corrupt_artifact_member(bad, "arena_pair_len.npy")
         status, payload = _request(
             f"{server.url}/admin/v1/models/exp:deploy",
             {"artifact": str(bad)},

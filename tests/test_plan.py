@@ -1,7 +1,7 @@
-"""Compiled evaluation plans: the kernel against the paper-literal oracle
-and against itself (bit for bit), the duplicate-row cull, dtype-downcast
-overflow guards, arena structure, and the cell-stream kernel's
-differential tests."""
+"""Compiled evaluation plans: the kernel against a test-only cell reference
+and the paper-literal oracle, against itself bit for bit across batch
+sizes and working budgets, duplicate outside rows, the weight-dtype and
+exact-sum guards, and the four-member arena."""
 
 import threading
 import warnings
@@ -10,10 +10,14 @@ import numpy as np
 import pytest
 
 from conftest import random_relational
-from repro.bst.culling import duplicate_row_keep_mask
 from repro.bst.table import build_all_bsts
 from repro.core.arithmetization import COMBINERS
-from repro.core.artifact import load_artifact, save_artifact
+from repro.core.artifact import (
+    ARTIFACT_FORMAT_VERSION,
+    load_artifact,
+    save_artifact,
+)
+from repro.core.bitset import _swar_popcount
 from repro.core.bstce import bstce
 from repro.core.classifier import BSTClassifier
 from repro.core.fast import FastBSTCEvaluator, clear_evaluator_cache
@@ -26,7 +30,7 @@ from repro.evaluation.timing import engine_counters
 #: Oracle agreement bounds.  Under ``min`` each kernel value is a mean of
 #: correctly rounded float32 quotients of exact integer counts, so it sits
 #: within one float32 rounding (2**-24) of the oracle's float64 value;
-#: ``product`` and ``mean`` also round inside their float32 reductions.
+#: ``product`` and ``mean`` also round inside their closed forms.
 ORACLE_TOLERANCE = {"min": 2.0**-24, "product": 1e-5, "mean": 1e-5}
 
 
@@ -38,8 +42,8 @@ def _fresh_cache():
 
 
 def _with_duplicates(rng, n_samples=10, n_items=16, n_classes=3):
-    """A random dataset whose outside blocks contain exact-duplicate rows,
-    so the min-plan cull has something to drop."""
+    """A random dataset whose rows 1 and 2 duplicate row 0 (class 0), so
+    every other class has exact-duplicate outside rows."""
     while True:
         matrix = rng.random((n_samples, n_items)) < rng.uniform(0.2, 0.7)
         matrix[1] = matrix[0]
@@ -52,6 +56,27 @@ def _with_duplicates(rng, n_samples=10, n_items=16, n_classes=3):
                 labels.tolist(),
                 class_names=[f"c{i}" for i in range(n_classes)],
             )
+
+
+def _without_rows(dataset, rows):
+    keep = np.setdiff1d(np.arange(dataset.n_samples), rows)
+    return RelationalDataset.from_bool_matrix(
+        dataset.bool_matrix[keep],
+        dataset.label_array[keep].tolist(),
+        class_names=list(dataset.class_names),
+    )
+
+
+def _query_matrix(dataset, queries):
+    """Item sets or indicator vectors as a bool matrix (ids past the
+    vocabulary dropped, as the kernel does)."""
+    rows = np.zeros((len(queries), dataset.n_items), dtype=bool)
+    for b, query in enumerate(queries):
+        if isinstance(query, np.ndarray):
+            rows[b] = query
+        else:
+            rows[b, [i for i in query if 0 <= i < dataset.n_items]] = True
+    return rows
 
 
 def _assert_matches_oracle(rows, dataset, arithmetization, queries):
@@ -69,26 +94,71 @@ def _assert_matches_oracle(rows, dataset, arithmetization, queries):
     )
 
 
+def _cell_reference(dataset, queries, arithmetization="min"):
+    """Test-only reference: per cell ``(g, c)``, gather the float32 pair
+    values ``V[c, h]`` over the outside rows ``h`` expressing ``g`` and
+    combine them (a black dot is 1); sum each column in ascending gene
+    order.  Under ``min`` the kernel must equal it bit for bit."""
+    combine = {"min": np.min, "product": np.prod, "mean": np.mean}
+    qmat = _query_matrix(dataset, queries).astype(np.int64)
+    matrix = dataset.bool_matrix.astype(np.int64)
+    labels = dataset.label_array
+    rows = np.zeros((len(qmat), dataset.n_classes))
+    for class_id in range(dataset.n_classes):
+        inside = matrix[labels == class_id]
+        outside = matrix[labels != class_id]
+        if not len(inside):
+            continue
+        inter = inside @ outside.T
+        len_neg = outside.sum(axis=1)[None, :] - inter  # |h - c|
+        length = np.where(len_neg > 0, len_neg, inside.sum(axis=1)[:, None] - inter)
+        for b, q in enumerate(qmat):
+            chq = (inside * q) @ outside.T
+            sat = np.where(
+                len_neg > 0,
+                len_neg - ((outside @ q)[None, :] - chq),
+                (inside @ q)[:, None] - chq,
+            )
+            with np.errstate(divide="ignore", invalid="ignore"):
+                pair = np.where(
+                    length > 0,
+                    sat.astype(np.float32) / length.astype(np.float32),
+                    np.float32(0),
+                ).astype(np.float64)
+            means = np.zeros(len(inside))
+            for c in range(len(inside)):
+                genes = np.flatnonzero(inside[c] * q)
+                cells = [
+                    combine[arithmetization](pair[c, outside[:, g] > 0])
+                    if outside[:, g].any() else 1.0
+                    for g in genes
+                ]
+                if cells:
+                    means[c] = np.cumsum(cells)[-1] / len(cells)
+            n_cols = np.count_nonzero((inside * q).any(axis=1))
+            if n_cols:
+                rows[b, class_id] = means.sum() / n_cols
+    return rows
+
+
 def _single_rows(evaluator, queries):
     """Each query alone: a batch of one through ``classification_values``."""
     return np.stack([evaluator.classification_values(q) for q in queries])
 
 
-def _unculled_evaluator(dataset, arithmetization):
-    """The same plan compiled with the duplicate-row cull switched off."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(
-            plan_module,
-            "duplicate_row_keep_mask",
-            lambda rows: np.ones(rows.shape[0], dtype=bool),
-        )
-        return FastBSTCEvaluator(dataset, arithmetization)
+def _reference_rows(dataset, arithmetization, queries):
+    """What a batch must equal bit for bit: the cell reference under
+    ``min``; each query alone (a batch of one) under ``product``/``mean``,
+    whose closed forms meet the reference within ``ORACLE_TOLERANCE``."""
+    if arithmetization == "min":
+        return _cell_reference(dataset, queries)
+    return _single_rows(FastBSTCEvaluator(dataset, arithmetization), queries)
 
 
 class TestBitIdentity:
     """The plan kernel agrees with the oracle within the stated bound, and
     with itself bit for bit — not approximately — across batch sizes,
-    sparsity regimes and culled duplicate rows."""
+    sparsity regimes and duplicate rows."""
 
     @pytest.mark.parametrize("arithmetization", sorted(COMBINERS))
     def test_random_datasets(self, arithmetization):
@@ -113,8 +183,9 @@ class TestBitIdentity:
             assert np.array_equal(rows, _single_rows(planned, queries))
 
     def test_sparse_serving_queries(self):
-        # Wide vocabulary + sparse queries drives the per-query restricted
-        # matmul path; the skipped zero terms must not change a bit.
+        # A wide vocabulary probed by sparse queries: each query compacts
+        # to its own ~12 columns, one 64-bit word; a dense batch compacts
+        # to hundreds.  Neither may change a bit.
         rng = np.random.default_rng(3)
         matrix = rng.random((24, 600)) < 0.15
         labels = rng.integers(0, 3, 24)
@@ -123,12 +194,11 @@ class TestBitIdentity:
             matrix, labels.tolist(), class_names=["a", "b", "c"]
         )
         planned = FastBSTCEvaluator(dataset)
-        queries = rng.random((32, 600)) < 0.02  # ~12 genes per query
+        queries = rng.random((32, 600)) < 0.02
         rows = planned.classification_values_batch(queries)
         assert np.array_equal(rows, _single_rows(planned, queries))
+        assert np.array_equal(rows, _cell_reference(dataset, queries))
         _assert_matches_oracle(rows[:4], dataset, "min", queries[:4])
-        # A dense batch takes the stacked full-width matmul; each row still
-        # equals its query's batch of one (the restricted path).
         dense = rng.random((8, 600)) < 0.6
         assert np.array_equal(
             planned.classification_values_batch(dense),
@@ -137,68 +207,64 @@ class TestBitIdentity:
 
 
 class TestCulling:
-    def test_duplicate_row_keep_mask(self):
-        matrix = np.array(
-            [[1, 0], [1, 0], [0, 1], [1, 0], [0, 0]], dtype=bool
-        )
-        keep = duplicate_row_keep_mask(matrix)
-        assert keep.tolist() == [True, False, True, False, True]
-        assert duplicate_row_keep_mask(np.zeros((0, 3), dtype=bool)).size == 0
+    """Duplicate outside rows need no cull: a cumulative OR ignores them
+    under ``min``, while ``product`` and ``mean`` count every one."""
 
     def test_min_plan_culls_duplicates(self):
+        # Rows 1 and 2 duplicate row 0 (class 0), so they are duplicate
+        # outside rows of every other class: under min those classes
+        # answer exactly as on the dataset without them.
         rng = np.random.default_rng(11)
         dataset = _with_duplicates(rng)
-        planned = FastBSTCEvaluator(dataset, "min")
-        assert planned.plan.culled_refs > 0
-        # The culled stream must produce the unculled plan's values bit for
-        # bit: duplicates carry identical pair values and min is idempotent.
-        unculled = _unculled_evaluator(dataset, "min")
-        assert unculled.plan.culled_refs == 0
+        culled = _without_rows(dataset, [1, 2])
         queries = rng.random((8, dataset.n_items)) < 0.5
-        assert np.array_equal(
-            unculled.classification_values_batch(queries),
-            planned.classification_values_batch(queries),
+        rows = FastBSTCEvaluator(dataset, "min").classification_values_batch(
+            queries
         )
+        expected = FastBSTCEvaluator(culled, "min").classification_values_batch(
+            queries
+        )
+        assert np.array_equal(rows[:, 1:], expected[:, 1:])
+        assert np.array_equal(rows, _cell_reference(dataset, queries))
 
     @pytest.mark.parametrize("arithmetization", ["product", "mean"])
     def test_non_idempotent_arithmetizations_keep_full_stream(
         self, arithmetization
     ):
-        # Dropping a duplicate changes a product/mean; those plans must not
-        # cull anything.
+        # Dropping a duplicate changes a product or mean: those values
+        # count every outside row and still meet the oracle.
         rng = np.random.default_rng(13)
         dataset = _with_duplicates(rng)
-        planned = FastBSTCEvaluator(dataset, arithmetization)
-        assert planned.plan.culled_refs == 0
+        culled = _without_rows(dataset, [1, 2])
+        queries = rng.random((8, dataset.n_items)) < 0.5
+        rows = FastBSTCEvaluator(
+            dataset, arithmetization
+        ).classification_values_batch(queries)
+        without = FastBSTCEvaluator(
+            culled, arithmetization
+        ).classification_values_batch(queries)
+        assert not np.allclose(rows[:, 1:], without[:, 1:], rtol=0, atol=1e-9)
+        _assert_matches_oracle(rows, dataset, arithmetization, queries)
 
-    def test_culled_refs_counter(self):
-        rng = np.random.default_rng(17)
-        dataset = _with_duplicates(rng)
-        before = engine_counters.get("plan_culled_refs")
-        planned = FastBSTCEvaluator(dataset, "min")
-        assert (
-            engine_counters.get("plan_culled_refs")
-            == before + planned.plan.culled_refs
-        )
-
-    def test_explain_identical_under_culling(self):
-        # A culled plan serves the same classification values, so the
-        # explanation machinery reports identical evidence.
+    def test_explain_identical_under_culling(self, tmp_path):
+        # A classifier fitted on duplicate rows explains a query the same
+        # whether it evaluates in memory or from its reloaded artifact.
         rng = np.random.default_rng(19)
         dataset = _with_duplicates(rng)
         clf = BSTClassifier().fit(dataset)
-        assert clf._fast.plan.culled_refs > 0
         query = frozenset(
             int(i) for i in np.flatnonzero(rng.random(dataset.n_items) < 0.5)
         )
-        explained_culled = clf.explain(query)
+        explained = clf.explain(query)
         original_fast = clf._fast
         try:
-            clf._fast = _unculled_evaluator(dataset, "min")
-            explained_unculled = clf.explain(query)
+            clf._fast = load_artifact(
+                save_artifact(original_fast, tmp_path / "m.npz")
+            )
+            explained_again = clf.explain(query)
         finally:
             clf._fast = original_fast
-        assert explained_culled == explained_unculled
+        assert explained == explained_again
 
 
 class TestDowncastGuards:
@@ -206,10 +272,10 @@ class TestDowncastGuards:
         rng = np.random.default_rng(23)
         dataset = random_relational(rng)
         planned = FastBSTCEvaluator(dataset)
-        assert planned.plan.index_dtype == np.dtype(np.int32)
         assert planned.plan.weight_dtype == np.dtype(np.float32)
-        assert planned.plan.arena["h_flat"].dtype == np.dtype(np.int32)
         assert planned.plan.arena["pair_len"].dtype == np.dtype(np.float32)
+        for name in ("inside", "outside", "pair_neg"):
+            assert planned.plan.arena[name].dtype == np.dtype(bool)
 
     def test_boundary_values_stay_exact_in_float32(self):
         # Every representable pair length at or below 2**24 must survive
@@ -219,26 +285,6 @@ class TestDowncastGuards:
         )
         assert np.array_equal(
             lengths.astype(np.float32).astype(np.float64), lengths
-        )
-
-    def test_wide_index_fallback(self, monkeypatch):
-        # Force the guard: with the int32 ceiling lowered to zero, every
-        # index lands in the wide dtype (counted), and the kernel output is
-        # the int32 plan's bit for bit — the fallback is a widening, never
-        # a wrap.
-        rng = np.random.default_rng(29)
-        dataset = random_relational(rng)
-        narrow = FastBSTCEvaluator(dataset)
-        monkeypatch.setattr(plan_module, "INT32_MAX", 0)
-        before = engine_counters.get("plan_wide_index_fallbacks")
-        planned = FastBSTCEvaluator(dataset)
-        assert planned.plan.index_dtype == np.dtype(np.int64)
-        assert engine_counters.get("plan_wide_index_fallbacks") == before + 1
-        monkeypatch.undo()
-        queries = rng.random((9, dataset.n_items)) < 0.4
-        assert np.array_equal(
-            narrow.classification_values_batch(queries),
-            planned.classification_values_batch(queries),
         )
 
     def test_wide_weight_fallback_preserves_large_lengths(self, monkeypatch):
@@ -266,12 +312,49 @@ class TestDowncastGuards:
             wide.classification_values_batch(queries),
         )
 
+    def test_sum_bound_exceeded_is_counted(self, monkeypatch):
+        # A plan past the exact-sum bound is counted and still compiled:
+        # the arena is unchanged and every path gives the same bits.
+        rng = np.random.default_rng(33)
+        dataset = random_relational(rng)
+        queries = rng.random((9, dataset.n_items)) < 0.4
+        before = engine_counters.get("plan_sum_bound_exceeded")
+        within = FastBSTCEvaluator(dataset)
+        assert engine_counters.get("plan_sum_bound_exceeded") == before
+        monkeypatch.setattr(plan_module, "EXACT_SUM_BITS", 0)
+        past = FastBSTCEvaluator(dataset)
+        assert engine_counters.get("plan_sum_bound_exceeded") == before + 1
+        for name in ARENA_FIELDS:
+            assert np.array_equal(past.plan.arena[name], within.plan.arena[name])
+        rows = past.classification_values_batch(queries)
+        assert np.array_equal(rows, _single_rows(past, queries))
+        assert np.array_equal(rows, within.classification_values_batch(queries))
+
+    def test_sum_bound_matches_its_statement(self):
+        # n_items · 2**⌈log2 L⌉ ≤ 2**30: the ALL-sized vocabulary with every
+        # pair length up to n_items stays inside; 2**20 items with lengths
+        # of 2**11 do not.
+        for n_items, length, inside in (
+            (1073, 1073, True), (2706, 2706, True), (2**20, 2**10, True),
+            (2**20, 2**10 + 1, False),
+        ):
+            before = engine_counters.get("plan_sum_bound_exceeded")
+            raw = {
+                "inside": np.zeros((1, n_items), dtype=bool),
+                "outside": np.zeros((1, n_items), dtype=bool),
+                "pair_len": np.full((1, 1), length, dtype=np.float32),
+                "pair_neg": np.ones((1, 1), dtype=bool),
+            }
+            plan_module._build_arena([(raw, (1, 1))], n_items)
+            counted = engine_counters.get("plan_sum_bound_exceeded") - before
+            assert counted == (0 if inside else 1), (n_items, length)
+
     @pytest.mark.parametrize("arithmetization", sorted(COMBINERS))
     def test_fused_pair_weights_match_legacy(self, arithmetization):
-        # pair_len/pair_neg must encode exactly the list-selection rule the
-        # fused weights replaced, counted here from the row sets: the
-        # negated list h - c when non-empty, else the fallback c - h, and
-        # length 0 when both are empty.
+        # pair_len/pair_neg must encode exactly the list-selection rule,
+        # counted here from the row sets: the negated list h - c when
+        # non-empty, else the fallback c - h, and length 0 when both are
+        # empty.
         rng = np.random.default_rng(37)
         dataset = random_relational(rng)
         planned = FastBSTCEvaluator(dataset, arithmetization)
@@ -299,6 +382,9 @@ class TestArenaStructure:
         rng = np.random.default_rng(41)
         dataset = random_relational(rng)
         plan = FastBSTCEvaluator(dataset).plan
+        assert tuple(plan.arena) == ARENA_FIELDS == (
+            "inside", "outside", "pair_len", "pair_neg"
+        )
         for pc in plan.classes:
             if pc is None:
                 continue
@@ -315,33 +401,43 @@ class TestArenaStructure:
             labels=(0, 2),
         )
         plan = FastBSTCEvaluator(dataset).plan
-        assert plan.geometry.shape == (3, 4)
+        assert plan.geometry.shape == (3, 2)
         assert plan.classes[1] is None
-        assert tuple(plan.geometry[1]) == (0, 0, 0, 0)
+        assert tuple(plan.geometry[1]) == (0, 0)
+        assert tuple(plan.geometry[0]) == (1, 1)
+
+    def test_arena_is_bool_rows_and_five_bytes_per_pair(self):
+        rng = np.random.default_rng(43)
+        dataset = random_relational(rng)
+        plan = FastBSTCEvaluator(dataset).plan
+        n_pairs = sum(
+            int(pc.pair_len.size) for pc in plan.classes if pc is not None
+        )
+        rows = dataset.n_samples * dataset.n_classes
+        assert plan.hot_nbytes() == rows * dataset.n_items + 5 * n_pairs
 
 
-class TestArtifactV1Fallback:
-    """Format v1 artifacts are refused (``test_artifact.py::
-    test_unknown_format_version``); the current format loads silently."""
+class TestArtifactFormat:
+    """Artifacts are written in the current format and load silently;
+    format 2 loading is ``test_artifact.py::TestFormat2Compatibility``."""
 
-    def test_v2_round_trip_does_not_warn(self, tmp_path):
+    def test_current_format_round_trip_does_not_warn(self, tmp_path):
         rng = np.random.default_rng(59)
         dataset = random_relational(rng)
         evaluator = FastBSTCEvaluator(dataset)
-        path = save_artifact(evaluator, tmp_path / "m2.npz")
+        path = save_artifact(evaluator, tmp_path / "m3.npz")
+        with np.load(path) as npz:
+            assert int(npz["meta_format_version"]) == ARTIFACT_FORMAT_VERSION
+            assert sorted(n for n in npz.files if n.startswith("arena_")) == [
+                f"arena_{name}" for name in sorted(ARENA_FIELDS)
+            ]
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             loaded = load_artifact(path)
-        assert loaded.plan.culled_refs == evaluator.plan.culled_refs
-
-
-def _reference_rows(dataset, arithmetization, queries):
-    """The exact in-kernel reference: each query alone (a batch of one),
-    its cells picked by the whole-stream gather."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(fast_module, "_WHOLE_STREAM_SHARE", 10**12)
-        return _single_rows(
-            FastBSTCEvaluator(dataset, arithmetization), queries
+        queries = rng.random((5, dataset.n_items)) < 0.5
+        assert np.array_equal(
+            loaded.classification_values_batch(queries),
+            evaluator.classification_values_batch(queries),
         )
 
 
@@ -350,42 +446,42 @@ def _wide_dataset(seed, n_samples=60, n_items=300, n_classes=3, density=0.35):
     matrix = rng.random((n_samples, n_items)) < density
     labels = rng.integers(0, n_classes, n_samples)
     labels[:n_classes] = np.arange(n_classes)
-    matrix[1] = matrix[0]  # a duplicate outside row for the min cull
+    matrix[1] = matrix[0]  # a duplicate outside row
     return RelationalDataset.from_bool_matrix(
         matrix, labels.tolist(), class_names=[f"c{i}" for i in range(n_classes)]
     )
 
 
-#: Cell-selection methods of the plan kernel, forced through its cost
-#: constant: the whole-stream gather and the per-run gather.
-_SELECTION_MODES = {
-    "auto": {},
-    "whole": {"_WHOLE_STREAM_SHARE": 10**12},
-    "runs": {"_WHOLE_STREAM_SHARE": 0},
-}
+#: Working-budget regimes of the plan kernel, forced through its word
+#: budget: the default, one group per block, and one query per group with
+#: one inside row per gathered chunk.
+_BUDGET_MODES = {"auto": None, "whole": 1 << 40, "runs": 1}
 
 
-@pytest.fixture(params=sorted(_SELECTION_MODES))
-def selection_mode(request, monkeypatch):
-    for name, value in _SELECTION_MODES[request.param].items():
-        monkeypatch.setattr(fast_module, name, value)
+@pytest.fixture(params=sorted(_BUDGET_MODES))
+def budget_mode(request, monkeypatch):
+    if _BUDGET_MODES[request.param] is not None:
+        monkeypatch.setattr(
+            fast_module, "_WORD_BUDGET", _BUDGET_MODES[request.param]
+        )
     return request.param
 
 
 class TestCellStreamKernel:
-    """The cell-stream plan kernel, under each cell-selection method and
-    batch size, against :func:`_reference_rows` — compared with
-    ``np.array_equal`` (bit for bit) — and, on a subset, the oracle."""
+    """The sorted cumulative-OR ``min`` kernel and the ``product``/``mean``
+    closed forms under each working budget and batch size, against
+    :func:`_reference_rows` with ``np.array_equal`` and, on a subset, the
+    oracle and :func:`_cell_reference` within ``ORACLE_TOLERANCE``."""
 
     @pytest.mark.parametrize("arithmetization", sorted(COMBINERS))
-    @pytest.mark.parametrize("n_queries", [1, 2, 64, 65])
+    @pytest.mark.parametrize("n_queries", [1, 2, 3, 64, 65])
     def test_batch_sizes_and_densities(
-        self, arithmetization, n_queries, selection_mode
+        self, arithmetization, n_queries, budget_mode
     ):
         dataset = _wide_dataset(71)
         rng = np.random.default_rng(n_queries)
-        # Densities on both sides of the whole-stream threshold, mixed
-        # within one block.
+        # Sparse and dense queries mixed within one block, so short
+        # queries ride padded with sentinel columns.
         density = np.resize([0.02, 0.1, 0.5, 0.9], n_queries)
         queries = rng.random((n_queries, dataset.n_items)) < density[:, None]
         planned = FastBSTCEvaluator(dataset, arithmetization)
@@ -393,13 +489,17 @@ class TestCellStreamKernel:
         assert np.array_equal(
             rows, _reference_rows(dataset, arithmetization, queries)
         )
-        if selection_mode == "auto" and n_queries == 2:
+        if budget_mode == "auto" and n_queries == 2:
             # The oracle is slow on this profile: one sparse pair of
             # queries per arithmetization.
             _assert_matches_oracle(rows, dataset, arithmetization, queries)
+            np.testing.assert_allclose(
+                rows, _cell_reference(dataset, queries, arithmetization),
+                rtol=0, atol=ORACLE_TOLERANCE[arithmetization],
+            )
 
     @pytest.mark.parametrize("arithmetization", sorted(COMBINERS))
-    def test_random_datasets(self, arithmetization, selection_mode):
+    def test_random_datasets(self, arithmetization, budget_mode):
         rng = np.random.default_rng(73)
         for _ in range(6):
             dataset = _with_duplicates(rng)
@@ -410,88 +510,67 @@ class TestCellStreamKernel:
             assert np.array_equal(
                 rows, _reference_rows(dataset, arithmetization, queries)
             )
-            if selection_mode == "auto":
+            if budget_mode == "auto":
                 _assert_matches_oracle(rows, dataset, arithmetization, queries)
 
-    def test_density_picks_each_selection_method(self, monkeypatch):
-        calls = {"_stream_cells": 0, "_run_cells": 0}
-        for name in calls:
-            original = getattr(FastBSTCEvaluator, name)
-
-            def spy(self, *args, _name=name, _original=original):
-                calls[_name] += 1
-                return _original(self, *args)
-
-            monkeypatch.setattr(FastBSTCEvaluator, name, spy)
-        dataset = _wide_dataset(79)
-        rng = np.random.default_rng(79)
-        planned = FastBSTCEvaluator(dataset)
-        for density, method in ((0.9, "_stream_cells"), (0.02, "_run_cells")):
-            before = dict(calls)
-            queries = rng.random((4, dataset.n_items)) < density
-            assert np.array_equal(
-                planned.classification_values_batch(queries),
-                _reference_rows(dataset, "min", queries),
-            )
-            assert calls[method] > before[method]
-
-    def test_empty_and_black_dot_only_queries(self, selection_mode):
+    def test_empty_and_black_dot_only_queries(self, budget_mode):
         dataset = _wide_dataset(83)
         matrix = dataset.bool_matrix.copy()
         labels = dataset.label_array
         # Gene 0 is expressed by class 0 only: a black dot for class 0 and
-        # outside every other class's gene mask.
+        # outside every other class's rows.
         matrix[:, 0] = labels == 0
         dataset = RelationalDataset.from_bool_matrix(
             matrix, labels.tolist(), class_names=list(dataset.class_names)
         )
-        queries = np.zeros((3, dataset.n_items), dtype=bool)
-        queries[1, 0] = True
-        queries[2, :5] = True
+        n = dataset.n_items
+        # Empty, black-dot only, a few genes, and out of vocabulary only.
+        queries = [frozenset(), frozenset({0}), frozenset(range(5)),
+                   frozenset({n, n + 7, -1})]
         for arithmetization in sorted(COMBINERS):
             planned = FastBSTCEvaluator(dataset, arithmetization)
             rows = planned.classification_values_batch(queries)
             assert np.array_equal(
                 rows, _reference_rows(dataset, arithmetization, queries)
             )
-            assert not rows[0].any()
+            assert not rows[0].any() and not rows[3].any()
             assert rows[1, 0] == 1.0 and not rows[1, 1:].any()
+        assert np.array_equal(
+            FastBSTCEvaluator(dataset).classification_values_batch(queries),
+            _cell_reference(dataset, queries),
+        )
 
-    def test_class_without_outside_rows(self, selection_mode):
-        # Every sample is class 0: it has no outside rows (an empty stream,
-        # all black dots) and class 1 is absent.
+    def test_class_without_outside_rows(self, budget_mode):
+        # Every sample is class 0: it has no outside rows (every cell a
+        # black dot) and class 1 is absent.
         rng = np.random.default_rng(89)
         matrix = rng.random((6, 20)) < 0.5
         dataset = RelationalDataset.from_bool_matrix(
             matrix, [0] * 6, class_names=["a", "b"]
         )
-        planned = FastBSTCEvaluator(dataset)
         queries = rng.random((5, 20)) < 0.5
-        rows = planned.classification_values_batch(queries)
-        assert np.array_equal(rows, _reference_rows(dataset, "min", queries))
-        assert planned._cell_stream(0).n_elems == 0
-        assert planned.plan.classes[1] is None
+        for arithmetization in sorted(COMBINERS):
+            planned = FastBSTCEvaluator(dataset, arithmetization)
+            rows = planned.classification_values_batch(queries)
+            assert np.array_equal(rows, _cell_reference(dataset, queries))
+            touched = (queries[:, None, :] & matrix[None]).any(axis=(1, 2))
+            assert np.array_equal(rows[:, 0], touched.astype(float))
+            assert planned.plan.classes[1] is None
+            assert not rows[:, 1].any()
 
-    def test_int64_fallback_plan(self, monkeypatch, selection_mode):
-        # An int64 plan (forced through the int32 ceiling) against the int32
-        # plan the reference compiles once the ceiling is restored.
+    def test_int64_fallback_plan(self, monkeypatch, budget_mode):
+        # The SWAR popcount, the fallback over the kernel's 64-bit words
+        # where numpy has no bitwise_count, gives the same bits.
         dataset = _wide_dataset(97, n_items=120)
         queries = np.random.default_rng(97).random((7, 120)) < 0.3
-        monkeypatch.setattr(plan_module, "INT32_MAX", 0)
-        planned = FastBSTCEvaluator(dataset)
-        rows = planned.classification_values_batch(queries)
-        assert planned.plan.index_dtype == np.dtype(np.int64)
-        assert all(
-            planned._cell_stream(c).elem.dtype == np.dtype(np.int64)
-            for c, pc in enumerate(planned.plan.classes)
-            if pc is not None
-        )
-        monkeypatch.undo()
-        assert np.array_equal(rows, _reference_rows(dataset, "min", queries))
+        expected = _reference_rows(dataset, "min", queries)
+        monkeypatch.setattr(fast_module, "popcount", _swar_popcount)
+        rows = FastBSTCEvaluator(dataset).classification_values_batch(queries)
+        assert np.array_equal(rows, expected)
 
     @pytest.mark.parametrize("arithmetization", sorted(COMBINERS))
     def test_loaded_and_refreshed_evaluators(
-        self, tmp_path, arithmetization, selection_mode
+        self, tmp_path, arithmetization, budget_mode
     ):
         dataset = _wide_dataset(101)
         queries = np.random.default_rng(101).random(
@@ -519,45 +598,43 @@ class TestCellStreamKernel:
             )
 
     def test_sparse_queries_build_no_stream(self):
-        # A sparse first query (the serving cold start) gathers its runs
-        # from the plan's CSR lists and never pays for a cell stream.
+        # A sparse first query (the serving cold start) builds nothing:
+        # the evaluator keeps no per-query or per-class state.
         dataset = _wide_dataset(109)
         planned = FastBSTCEvaluator(dataset)
-        before = engine_counters.get("plan_stream_builds")
+        state = dict(vars(planned))
+        before = engine_counters.get("plan_compiles")
         rows = planned.classification_values_batch([frozenset({1, 2, 3})])
-        assert engine_counters.get("plan_stream_builds") == before
-        assert planned._streams == {}
+        assert vars(planned) == state
+        assert engine_counters.get("plan_compiles") == before
         assert np.array_equal(
-            rows,
-            _reference_rows(dataset, "min", [frozenset({1, 2, 3})]),
+            rows, _cell_reference(dataset, [frozenset({1, 2, 3})])
         )
 
     def test_one_build_per_class_across_many_queries(self):
-        # Dense blocks take the whole-stream method in every class, so
-        # each class builds its stream once and reuses it.
+        # Each class's arena slice is compiled once, at the build; dense
+        # and sparse queries afterwards compile nothing.
         dataset = _wide_dataset(103)
+        before = engine_counters.get("plan_compiles")
         planned = FastBSTCEvaluator(dataset)
-        before = engine_counters.get("plan_stream_builds")
         rng = np.random.default_rng(103)
         for _ in range(5):
             planned.classification_values_batch(
                 rng.random((3, dataset.n_items)) < 0.9
             )
-            planned.classification_values_batch(
-                [frozenset({1, 2, 3})]
-            )
-        non_empty = sum(pc is not None for pc in planned.plan.classes)
-        assert engine_counters.get("plan_stream_builds") == before + non_empty
+            planned.classification_values_batch([frozenset({1, 2, 3})])
+        assert engine_counters.get("plan_compiles") == before + 1
 
     def test_racing_first_queries_build_once(self, tmp_path):
+        # Eight first queries race on a lazily verified artifact: its
+        # table members are verified once and every thread gets the bits.
         dataset = _wide_dataset(107)
         path = save_artifact(FastBSTCEvaluator(dataset), tmp_path / "m.npz")
         loaded = load_artifact(path)
-        # Dense, so every class takes the whole-stream method.
         query = np.random.default_rng(107).random(dataset.n_items) < 0.9
         barrier = threading.Barrier(8)
         rows = [None] * 8
-        before = engine_counters.get("plan_stream_builds")
+        before = engine_counters.get("artifact_members_verified")
 
         def first_query(slot):
             barrier.wait()
@@ -570,9 +647,9 @@ class TestCellStreamKernel:
             thread.start()
         for thread in threads:
             thread.join()
-        non_empty = sum(pc is not None for pc in loaded.plan.classes)
-        assert engine_counters.get("plan_stream_builds") == before + non_empty
-        expected = _reference_rows(dataset, "min", [query])[0]
+        verified = engine_counters.get("artifact_members_verified") - before
+        assert verified == len(ARENA_FIELDS)
+        expected = _cell_reference(dataset, [query])[0]
         assert all(np.array_equal(row, expected) for row in rows)
 
 
@@ -590,41 +667,30 @@ def _ladder_dataset(max_len=70, n_inside=3):
 
 
 class TestFoldedCellStream:
-    """The length-bucketed, element-major ``min``/``product`` layout
-    against ``reduceat`` over the flat layout, bit for bit."""
+    """The ladder dataset — every cell length ``1..70``, so the cumulative
+    OR covers one new gene per sorted row — against the per-cell
+    reference, under the default and a tiny word budget."""
 
     @pytest.mark.parametrize("arithmetization", ["min", "product"])
     @pytest.mark.parametrize("cell_budget", [None, 64])
     def test_fold_equals_reduceat(
         self, arithmetization, cell_budget, monkeypatch
     ):
-        # Cell lengths 1..70 cross every power-of-two bucket boundary up to
-        # 64; a tiny element budget splits buckets' columns into chunks.
         if cell_budget is not None:
-            monkeypatch.setattr(fast_module, "_CELL_BUDGET", cell_budget)
+            monkeypatch.setattr(fast_module, "_WORD_BUDGET", cell_budget)
         dataset = _ladder_dataset()
+        queries = np.random.default_rng(113).random((3, dataset.n_items)) < 0.7
+        queries[0] = True
         evaluator = FastBSTCEvaluator(dataset, arithmetization)
-        pc = evaluator.plan.classes[0]
-        folded = plan_module.build_cell_stream(pc, arithmetization)
-        flat = plan_module.build_cell_stream(pc, "mean")
-        assert folded.folded and not flat.folded
-        assert set(flat.cell_len.tolist()) == set(range(1, 71))
-        assert np.array_equal(folded.cell_gene, flat.cell_gene)
-        assert np.array_equal(folded.cell_row, flat.cell_row)
-        rng = np.random.default_rng(113)
-        n_pairs = pc.inside.shape[0] * pc.outside.shape[0]
-        for n_b in (1, 3):
-            pair_values = np.ones((n_b, n_pairs + 1), dtype=np.float32)
-            pair_values[:, :-1] = rng.uniform(0.5, 1.0, (n_b, n_pairs))
-            reduce = np.minimum if arithmetization == "min" else np.multiply
-            expected = reduce.reduceat(
-                np.take(pair_values, flat.elem, axis=1),
-                flat.cell_start,
-                axis=1,
+        rows = evaluator.classification_values_batch(queries)
+        assert np.array_equal(rows, _single_rows(evaluator, queries))
+        reference = _cell_reference(dataset, queries, arithmetization)
+        if arithmetization == "min":
+            assert np.array_equal(rows, reference)
+        else:
+            np.testing.assert_allclose(
+                rows, reference, rtol=0, atol=ORACLE_TOLERANCE["product"]
             )
-            got = evaluator._stream_values(folded, pair_values)
-            assert got.dtype == expected.dtype
-            assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("arithmetization", ["min", "product"])
     def test_small_budget_answers_unchanged(
@@ -633,29 +699,9 @@ class TestFoldedCellStream:
         dataset = _ladder_dataset()
         queries = np.random.default_rng(127).random((5, dataset.n_items)) < 0.7
         expected = _reference_rows(dataset, arithmetization, queries)
-        monkeypatch.setattr(fast_module, "_CELL_BUDGET", 64)
-        monkeypatch.setattr(fast_module, "_WHOLE_STREAM_SHARE", 10**12)
+        monkeypatch.setattr(fast_module, "_WORD_BUDGET", 64)
         rows = FastBSTCEvaluator(
             dataset, arithmetization
         ).classification_values_batch(queries)
         assert np.array_equal(rows, expected)
         _assert_matches_oracle(rows, dataset, arithmetization, queries)
-
-    @pytest.mark.parametrize("arithmetization", sorted(COMBINERS))
-    def test_padded_layout_at_most_doubles_the_stream(self, arithmetization):
-        # Rounding a length up to a power of two pads a cell by less than
-        # its own length, so the padded layout stays below twice the flat
-        # stream — the memory the folded layout may cost.
-        for dataset in (_ladder_dataset(), _wide_dataset(131)):
-            evaluator = FastBSTCEvaluator(dataset, arithmetization)
-            for class_id, pc in enumerate(evaluator.plan.classes):
-                stream = evaluator._cell_stream(class_id)
-                assert stream.n_elems <= 2 * pc.stream_elems
-                if arithmetization == "mean":
-                    assert stream.n_elems == pc.stream_elems
-                    assert stream.buckets == ()
-                else:
-                    assert stream.cell_start is None
-                    widths = [elem.shape[0] for elem in stream.buckets]
-                    assert widths == sorted(set(widths))
-                    assert all(w & (w - 1) == 0 for w in widths)

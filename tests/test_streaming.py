@@ -12,7 +12,6 @@ to the arithmetization tests, not here.
 import numpy as np
 import pytest
 
-from repro.bst.culling import duplicate_row_keep_mask
 from repro.bst.table import build_all_bsts
 from repro.core.artifact import (
     ArtifactStale,
@@ -211,25 +210,6 @@ class TestVectorizedTransform:
         assert disc.transform_values(row) == disc._transform_values_scalar(row)
 
 
-class TestDuplicateRowCull:
-    def test_matches_unique_reference(self):
-        rng = np.random.default_rng(21)
-        for trial in range(20):
-            n, g = int(rng.integers(1, 40)), int(rng.integers(1, 30))
-            matrix = rng.random((n, g)) < 0.4
-            # Inject exact duplicates at random positions.
-            for _ in range(int(rng.integers(0, 5))):
-                matrix[rng.integers(n)] = matrix[rng.integers(n)]
-            keep = duplicate_row_keep_mask(matrix)
-            _, first = np.unique(matrix, axis=0, return_index=True)
-            expected = np.zeros(n, dtype=bool)
-            expected[first] = True
-            assert np.array_equal(keep, expected), trial
-
-    def test_empty(self):
-        assert duplicate_row_keep_mask(np.zeros((0, 4), dtype=bool)).size == 0
-
-
 class TestAppendOnlyBuild:
     @pytest.fixture
     def split(self):
@@ -251,7 +231,7 @@ class TestAppendOnlyBuild:
         _, base, grown = split
         clear_evaluator_cache()
         base_plan = FastBSTCEvaluator(base, arithmetization=arith).plan
-        delta = recompile_delta(base_plan, grown, base.n_samples, arith)
+        delta = recompile_delta(base_plan, grown, base.n_samples)
         clear_evaluator_cache()
         fresh = RelationalDataset(
             grown.item_names, grown.class_names, grown.samples, grown.labels
@@ -302,25 +282,7 @@ class TestAppendOnlyBuild:
             grown.item_names, grown.class_names, tuple(samples), grown.labels
         )
         with pytest.raises(ValueError, match="append-only extension"):
-            recompile_delta(base_plan, tampered, base.n_samples, "min")
-
-    def test_csr_merge_widens_instead_of_wrapping(self):
-        """The delta merge keeps the arena's narrow id dtype, but appended
-        ids past that dtype's range widen the list instead of wrapping."""
-        from repro.core.plan import _gene_major_merge
-
-        old = np.array([0, 1, 2], dtype=np.int8)  # gene 0: 0, 1; gene 1: 2
-        flat, counts, offsets = _gene_major_merge(
-            old, np.array([2, 1]), np.array([126, 300]), np.array([1, 1]), 2
-        )
-        assert flat.tolist() == [0, 1, 126, 2, 300]
-        assert flat.dtype == np.int64
-        assert counts.tolist() == [3, 2] and offsets.tolist() == [0, 3]
-        narrow, _, _ = _gene_major_merge(
-            old, np.array([2, 1]), np.array([126]), np.array([0, 1]), 2
-        )
-        assert narrow.tolist() == [0, 1, 2, 126]
-        assert narrow.dtype == np.int8
+            recompile_delta(base_plan, tampered, base.n_samples)
 
     def test_append_fit_error_paths(self, split):
         full, base, grown = split
