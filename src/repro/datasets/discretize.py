@@ -7,8 +7,10 @@ partitioning).  This module implements it from scratch:
 * per gene, candidate cut points are boundary midpoints of the sorted values;
 * the cut minimizing class-information entropy is accepted iff its gain
   passes the MDL criterion, then both halves recurse;
-* ``EntropyDiscretizer`` fits blocks of genes at once (``_mdlp_block``),
-  with the same cut points as the per-gene :func:`mdlp_cut_points`;
+* ``EntropyDiscretizer`` fits blocks of genes at once (``_mdlp_block``:
+  one unstable sort per gene row, integer prefix counts and one vectorised
+  MDL test per recursion depth), with the same cut points, to the bit, as
+  the per-gene :func:`mdlp_cut_points`;
 * genes with no accepted cut carry no class information and are dropped —
   Table 3's "Genes After Discretization" column counts the survivors;
 * every ``(gene, interval)`` pair becomes a boolean item; a sample expresses
@@ -39,9 +41,9 @@ def class_entropy(counts: np.ndarray) -> float:
 
 
 # Genes fitted together by one pass of :func:`_mdlp_block`.  A pass holds
-# O(n_samples × _GENE_BLOCK × n_classes) float64s (the sort, the prefix
-# counts and the depth-0 scores), which bounds the fit's peak memory
-# whatever the gene count.
+# O(n_samples × _GENE_BLOCK) float64s (the transposed block, its sort and
+# the depth-0 scores) and n_classes times as many int16 prefix counts, which
+# bounds the fit's peak memory whatever the gene count.
 _GENE_BLOCK = 512
 
 
@@ -173,6 +175,44 @@ def mdlp_cut_points(
     return sorted(cuts)
 
 
+def _parent_entropies(
+    total: np.ndarray, cache: Dict[Tuple[int, ...], float]
+) -> np.ndarray:
+    """:func:`class_entropy` of every column of the class counts ``total``,
+    computed once per distinct count vector and kept in ``cache``."""
+    entropies = []
+    for counts in map(tuple, total.T.tolist()):
+        if counts not in cache:
+            cache[counts] = class_entropy(np.asarray(counts, dtype=np.float64))
+        entropies.append(cache[counts])
+    return np.array(entropies)
+
+
+def _mdl_accepts_all(
+    size: np.ndarray,
+    parent: np.ndarray,
+    weighted: np.ndarray,
+    e_left: np.ndarray,
+    e_right: np.ndarray,
+    k: np.ndarray,
+    k1: np.ndarray,
+    k2: np.ndarray,
+) -> np.ndarray:
+    """:func:`_mdl_accepts` of every range at once, to the same bits.
+
+    The arithmetic is float64 ``+ - * /`` in the order :func:`_mdl_accepts`
+    uses, which IEEE rounds exactly as Python floats; the two logarithms
+    come from ``math.log2``, one call per distinct ``size`` and per class
+    count up to the largest ``k``.
+    """
+    sizes, at = np.unique(size, return_inverse=True)
+    log2_n = np.array([math.log2(m - 1) for m in sizes.tolist()])[at]
+    log2_k = np.array([math.log2(3**c - 2) for c in range(1, k.max() + 1)])
+    gain = parent - weighted
+    delta = log2_k[k - 1] - (k * parent - k1 * e_left - k2 * e_right)
+    return (gain > 0) & (gain > (log2_n + delta) / size)
+
+
 def _best_range_cuts(
     prefix: np.ndarray,
     distinct: np.ndarray,
@@ -186,20 +226,20 @@ def _best_range_cuts(
     Returns ``(gene, lo, hi, pos, weighted, e_left, e_right)`` for the ranges
     that have a candidate, with the scores taken at ``pos``.
     """
-    n_classes, _, n_genes = prefix.shape
+    n_classes, _, stride = prefix.shape
     width = hi - lo - 1
     seg = np.repeat(np.arange(gene.size), width)
     pos = np.arange(seg.size) - np.repeat(np.cumsum(width) - width, width)
     pos += lo[seg] + 1
-    candidate = distinct[pos - 1, gene[seg]]
+    candidate = distinct[gene[seg], pos - 1]
     seg, pos = seg[candidate], pos[candidate]
 
     # Range counts are prefix differences, gathered from the flat prefix.
     counts = prefix.reshape(n_classes, -1)
-    g = gene[seg]
-    base = counts[:, lo[seg] * n_genes + g]
-    left = counts[:, pos * n_genes + g] - base
-    right = counts[:, hi[seg] * n_genes + g] - base - left
+    row = gene[seg] * stride
+    base = counts[:, row + lo[seg]]
+    left = counts[:, row + pos] - base
+    right = counts[:, row + hi[seg]] - base - left
     size = (hi - lo)[seg]
     n_left = (pos - lo[seg]).astype(np.float64)
     n_right = size - n_left
@@ -207,12 +247,14 @@ def _best_range_cuts(
     e_right = _side_entropy(right, n_right)
     weighted = (n_left * e_left + n_right * e_right) / size
 
-    # First minimum per range: the stable sort keeps ascending positions
-    # among equal scores, as np.argmin does in _best_cut.
-    rank = np.lexsort((weighted, seg))
-    first = np.ones(rank.size, dtype=bool)
-    first[1:] = seg[rank[1:]] != seg[rank[:-1]]
-    best = rank[first]
+    # First minimum per range, as np.argmin takes in _best_cut: the
+    # lowest candidate position whose score equals the range's minimum.
+    # ``seg`` ascends, so each range's candidates are one contiguous run.
+    first = np.diff(seg, prepend=-1) != 0
+    run = np.cumsum(first) - 1
+    lowest = np.minimum.reduceat(weighted, np.flatnonzero(first))
+    hit = np.flatnonzero(weighted == lowest[run])
+    best = hit[np.diff(run[hit], prepend=-1) != 0]
     ranges = seg[best]
     return (
         gene[ranges],
@@ -226,80 +268,83 @@ def _best_range_cuts(
 
 
 def _mdlp_block(
-    values: np.ndarray, labels: np.ndarray, n_classes: int
-) -> List[List[float]]:
-    """Ascending MDLP cut points of every column of ``values``
-    (samples × genes), equal to :func:`mdlp_cut_points` per column.
+    values: np.ndarray,
+    labels: np.ndarray,
+    n_classes: int,
+    entropies: Dict[Tuple[int, ...], float],
+) -> List[Tuple[int, Tuple[float, ...]]]:
+    """``(column, cuts)`` for every column of ``values`` (samples × genes)
+    with at least one MDLP cut; ``cuts`` ascend and equal
+    :func:`mdlp_cut_points` of the column.
+
+    ``entropies`` caches the parent entropy of each class-count vector; one
+    dict serves every block of a fit.
 
     Every range the recursion visits is a contiguous slice of the column's
-    stable sort order (a cut falls between distinct neighbours and NaNs sort
-    last, so ``value <= threshold`` is exactly a sorted prefix).  The block
-    is therefore sorted once and each range's class counts are differences
-    of one prefix-count array.  Depth 0 scores every (position, gene) pair
-    densely; each deeper depth is one flat pass over the surviving ranges.
-    Only the MDL test of each range's best cut runs in Python.
+    sort order: a cut falls only between *distinct* neighbours, and NaNs
+    sort last, so ``value <= threshold`` is exactly a sorted prefix.  The
+    sort need not be stable.  Each range ``[lo, hi)`` starts and ends at a
+    distinct boundary (or the column's ends), so a tie group never
+    straddles a candidate or a range end, and the class counts there do
+    not depend on the order inside a tie.  The block is therefore
+    transposed to gene rows, sorted once per row, and each range's class
+    counts are differences of one integer prefix-count array.  The sorted
+    values come from ``np.sort``: they equal the argsort's up to the sign
+    of a zero, which neither the candidates nor the thresholds see.  Depth 0
+    scores every (gene, position) pair densely; each deeper depth is one
+    flat pass over the surviving ranges, and the MDL test of every range's
+    best cut is one vectorised pass (:func:`_mdl_accepts_all`).
     """
     n, n_genes = values.shape
-    cuts: List[List[float]] = [[] for _ in range(n_genes)]
     if n < 2:
-        return cuts
-    order = np.argsort(values, axis=0, kind="mergesort")
-    ordered = np.take_along_axis(values, order, axis=0)
-    # prefix[c, i, g] = class-c count of the first i sorted samples of gene g.
-    prefix = np.zeros((n_classes, n + 1, n_genes))
-    np.cumsum(
-        labels[order] == np.arange(n_classes)[:, None, None],
-        axis=1,
-        out=prefix[:, 1:],
+        return []
+    rows = np.ascontiguousarray(values.T)
+    ranked = labels[np.argsort(rows, axis=1)]
+    ordered = np.sort(rows, axis=1)
+    # prefix[c, g, i] = class-c count of the first i sorted samples of gene g.
+    prefix = np.zeros(
+        (n_classes, n_genes, n + 1), dtype=np.int16 if n < 2**15 else np.int32
     )
-    # distinct[i, g]: a cut may fall before sorted position i + 1 of gene g.
-    distinct = ordered[1:] > ordered[:-1]
+    for c in range(n_classes):
+        np.cumsum(ranked == c, axis=1, dtype=prefix.dtype, out=prefix[c, :, 1:])
+    del ranked
+    # distinct[g, i]: a cut may fall before sorted position i + 1 of gene g.
+    distinct = ordered[:, 1:] > ordered[:, :-1]
 
-    # Depth 0: the whole column of every gene, scored densely.
-    left = prefix[:, 1:n]
-    n_left = np.arange(1, n, dtype=np.float64)[:, None]
+    # Depth 0: the whole row of every gene, scored densely.
+    left = prefix[:, :, 1:n]
+    n_left = np.arange(1, n, dtype=np.float64)
     n_right = n - n_left
     e_left = _side_entropy(left, n_left)
-    e_right = _side_entropy(prefix[:, n:] - left, n_right)
+    e_right = _side_entropy(prefix[:, :, n:] - left, n_right)
     weighted = (n_left * e_left + n_right * e_right) / n
     weighted[~distinct] = np.inf
-    gene = np.flatnonzero(distinct.any(axis=0))
-    at = weighted[:, gene].argmin(axis=0)  # first minimum, as in _best_cut
+    gene = np.flatnonzero(distinct.any(axis=1))
+    at = weighted[gene].argmin(axis=1)  # first minimum, as in _best_cut
     pos = at + 1
     lo = np.zeros(gene.size, dtype=np.intp)
     hi = np.full(gene.size, n, dtype=np.intp)
-    scores = weighted[at, gene], e_left[at, gene], e_right[at, gene]
+    scores = weighted[gene, at], e_left[gene, at], e_right[gene, at]
+    del left, e_left, e_right, weighted
 
-    parent_entropies: Dict[Tuple[float, ...], float] = {}
+    cut_genes, thresholds = [], []
     while gene.size:
-        base = prefix[:, lo, gene]
-        total = prefix[:, hi, gene] - base
-        left = prefix[:, pos, gene] - base
-        # The MDL test of each range's best cut, in Python floats.
-        parent = []
-        for counts in map(tuple, total.T.tolist()):
-            if counts not in parent_entropies:
-                parent_entropies[counts] = class_entropy(np.asarray(counts))
-            parent.append(parent_entropies[counts])
-        accepted = [
-            i
-            for i, test in enumerate(
-                zip(
-                    (hi - lo).tolist(),
-                    parent,
-                    *(score.tolist() for score in scores),
-                    (total > 0).sum(axis=0).tolist(),
-                    (left > 0).sum(axis=0).tolist(),
-                    (total - left > 0).sum(axis=0).tolist(),
-                )
-            )
-            if _mdl_accepts(*test)
-        ]
-        gene, lo, hi = gene[accepted], lo[accepted], hi[accepted]
-        pos = pos[accepted]
-        thresholds = _cut_threshold(ordered[pos - 1, gene], ordered[pos, gene])
-        for j, threshold in zip(gene.tolist(), thresholds.tolist()):
-            cuts[j].append(threshold)
+        base = prefix[:, gene, lo]
+        total = prefix[:, gene, hi] - base
+        left = prefix[:, gene, pos] - base
+        keep = _mdl_accepts_all(
+            hi - lo,
+            _parent_entropies(total, entropies),
+            *scores,
+            (total > 0).sum(axis=0),
+            (left > 0).sum(axis=0),
+            (total - left > 0).sum(axis=0),
+        )
+        gene, lo, hi, pos = gene[keep], lo[keep], hi[keep], pos[keep]
+        cut_genes.append(gene)
+        thresholds.append(
+            _cut_threshold(ordered[gene, pos - 1], ordered[gene, pos])
+        )
         # Both halves of every accepted range recurse at the next depth.
         gene, lo, hi, pos, *scores = _best_range_cuts(
             prefix,
@@ -308,9 +353,17 @@ def _mdlp_block(
             np.concatenate([lo, pos]),
             np.concatenate([pos, hi]),
         )
-    for gene_cuts in cuts:
-        gene_cuts.sort()
-    return cuts
+    if not cut_genes:
+        return []
+    gene = np.concatenate(cut_genes)
+    threshold = np.concatenate(thresholds)
+    by_gene = np.lexsort((threshold, gene))
+    gene, threshold = gene[by_gene], threshold[by_gene]
+    first = np.flatnonzero(np.diff(gene, prepend=-1))
+    return [
+        (j, tuple(cuts.tolist()))
+        for j, cuts in zip(gene[first].tolist(), np.split(threshold, first[1:]))
+    ]
 
 
 @dataclass(frozen=True)
@@ -347,16 +400,16 @@ def _fit_columns(
     gene_names: Sequence[str],
     labels: np.ndarray,
     n_classes: int,
+    entropies: Dict[Tuple[int, ...], float],
 ) -> List[GenePartition]:
     """Partitions of the kept genes among ``columns`` (genes ``first_gene``
     onwards), fitted :data:`_GENE_BLOCK` genes per kernel pass."""
     partitions: List[GenePartition] = []
     for start in range(0, columns.shape[1], _GENE_BLOCK):
         block = columns[:, start : start + _GENE_BLOCK]
-        for offset, cuts in enumerate(_mdlp_block(block, labels, n_classes)):
-            if cuts:
-                j = first_gene + start + offset
-                partitions.append(GenePartition(j, gene_names[j], tuple(cuts)))
+        for offset, cuts in _mdlp_block(block, labels, n_classes, entropies):
+            j = first_gene + start + offset
+            partitions.append(GenePartition(j, gene_names[j], cuts))
     return partitions
 
 
@@ -372,7 +425,6 @@ class EntropyDiscretizer:
     def __init__(self) -> None:
         self.partitions: List[GenePartition] = []
         self.item_names: Tuple[str, ...] = ()
-        self._item_base: List[int] = []
         self._class_names: Tuple[str, ...] = ()
         self._n_genes = 0
         self._fitted = False
@@ -393,7 +445,12 @@ class EntropyDiscretizer:
     def fit(self, data: ExpressionMatrix) -> "EntropyDiscretizer":
         """Learn cut points per gene from labeled training measurements."""
         partitions = _fit_columns(
-            data.values, 0, data.gene_names, data.label_array, data.n_classes
+            data.values,
+            0,
+            data.gene_names,
+            data.label_array,
+            data.n_classes,
+            {},
         )
         return self._finish_fit(partitions, data.class_names, data.n_genes)
 
@@ -444,6 +501,7 @@ class EntropyDiscretizer:
         # Gene-block passes: reassemble a few full columns at a time and run
         # the in-memory block kernel on them.
         partitions: List[GenePartition] = []
+        entropies: Dict[Tuple[int, ...], float] = {}
         for start in range(0, n_genes, gene_block):
             stop = min(start + gene_block, n_genes)
             columns = np.concatenate(
@@ -454,7 +512,9 @@ class EntropyDiscretizer:
                     "chunk stream changed size between passes"
                 )
             partitions.extend(
-                _fit_columns(columns, start, gene_names, labels, n_classes)
+                _fit_columns(
+                    columns, start, gene_names, labels, n_classes, entropies
+                )
             )
         return self._finish_fit(partitions, class_names, n_genes)
 
@@ -466,13 +526,22 @@ class EntropyDiscretizer:
     ) -> "EntropyDiscretizer":
         self.partitions = partitions
         self._n_genes = n_genes
-        names: List[str] = []
-        bases: List[int] = []
-        for part in partitions:
-            bases.append(len(names))
-            names.extend(part.interval_name(j) for j in range(part.n_intervals))
-        self.item_names = tuple(names)
-        self._item_base = bases
+        self.item_names = tuple(
+            part.interval_name(j)
+            for part in partitions
+            for j in range(part.n_intervals)
+        )
+        # transform_values' tables: the kept columns, each gene's first and
+        # last item, and its cuts padded to a matrix with +inf.
+        n_cuts = np.array([len(part.cuts) for part in partitions], dtype=np.int64)
+        self._kept = np.array(self.kept_gene_indices(), dtype=np.intp)
+        self._last_item = np.cumsum(n_cuts + 1) - 1
+        self._first_item = self._last_item - n_cuts
+        width = n_cuts.max(initial=0)
+        self._cut_matrix = np.full((n_cuts.size, width), np.inf)
+        self._cut_matrix[np.arange(width) < n_cuts[:, None]] = [
+            cut for part in partitions for cut in part.cuts
+        ]
         self._class_names = class_names
         self._fitted = True
         return self
@@ -495,25 +564,25 @@ class EntropyDiscretizer:
     def transform_values(self, values: np.ndarray) -> List[frozenset]:
         """Map raw measurement rows to expressed item sets.
 
-        Vectorized: one ``np.searchsorted`` per kept gene over the whole
-        batch instead of a Python loop per row.  Bit-identical to
-        :meth:`_transform_values_scalar` (the pre-vectorization reference,
-        kept for the equivalence tests).  Rows must be as wide as the fitted
-        data; any other width raises :class:`DatasetError`.
+        Vectorized over the batch and the kept genes: a value's interval is
+        the number of its gene's cuts strictly below it, which is
+        ``np.searchsorted(cuts, value, side="left")``, counted one column of
+        the ``+inf``-padded cut matrix at a time.  NaN takes the last
+        interval, where ``searchsorted`` puts it.  Bit-identical to
+        :meth:`_transform_values_scalar` (the per-row reference, kept for the
+        equivalence tests).  Rows must be as wide as the fitted data; any
+        other width raises :class:`DatasetError`.
         """
-        values = self._fitted_rows(values)
-        n_rows = values.shape[0]
-        if not self.partitions:
-            return [frozenset()] * n_rows
-        codes = np.empty((n_rows, len(self.partitions)), dtype=np.int64)
-        for k, (base, part) in enumerate(
-            zip(self._item_base, self.partitions)
-        ):
-            cuts = np.asarray(part.cuts, dtype=np.float64)
-            codes[:, k] = base + np.searchsorted(
-                cuts, values[:, part.gene_index], side="left"
-            )
-        return [frozenset(row) for row in codes.tolist()]
+        # Row by row: one list of the whole batch would raise the peak.
+        return [frozenset(row.tolist()) for row in self._item_codes(values)]
+
+    def _item_codes(self, values: np.ndarray) -> np.ndarray:
+        """The expressed item of every (row, kept gene), as a code array."""
+        measured = self._fitted_rows(values)[:, self._kept]
+        codes = np.where(np.isnan(measured), self._last_item, self._first_item)
+        for cuts in self._cut_matrix.T:
+            codes += cuts < measured
+        return codes
 
     def _transform_values_scalar(self, values: np.ndarray) -> List[frozenset]:
         """Reference per-row implementation of :meth:`transform_values`."""
@@ -521,7 +590,7 @@ class EntropyDiscretizer:
         out: List[frozenset] = []
         for row in values:
             items = []
-            for base, part in zip(self._item_base, self.partitions):
+            for base, part in zip(self._first_item.tolist(), self.partitions):
                 items.append(base + part.interval_of(row[part.gene_index]))
             out.append(frozenset(items))
         return out

@@ -1,5 +1,10 @@
 """Entropy-MDL discretization tests (Fayyad–Irani MDLP)."""
 
+import hashlib
+import json
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,7 +16,7 @@ from repro.datasets.discretize import (
     class_entropy,
     mdlp_cut_points,
 )
-from repro.datasets.profiles import scaled
+from repro.datasets.profiles import profile, scaled
 from repro.datasets.splits import given_training_split
 from repro.datasets.synthetic import generate_expression_data
 
@@ -295,3 +300,157 @@ class TestBlockKernelMatchesPerGene:
         cuts = _block_cuts(*args)
         assert any(cuts)
         assert cuts == _per_gene_cuts(*args)
+
+
+class TestGeneMajorKernel:
+    """The kernel's unstable sort, integer prefix counts, vectorised MDL
+    test and per-fit entropy cache."""
+
+    def test_mixed_class_tie_groups_across_three_blocks(self, monkeypatch):
+        # Values rounded to a handful of levels make every tie group hold
+        # several classes and NaNs, so the unstable sort reorders samples
+        # inside ties that the cuts must not notice.
+        monkeypatch.setattr(discretize, "_GENE_BLOCK", 16)
+        rng = np.random.default_rng(23)
+        n, n_genes, n_classes = 90, 40, 3
+        labels = rng.integers(0, n_classes, n)
+        shift = rng.normal(0, 1.2, n_genes)
+        values = np.round(
+            rng.normal(0, 1, (n, n_genes)) + labels[:, None] * shift, 0
+        )
+        values[rng.random((n, n_genes)) < 0.12] = np.nan
+        cuts = _block_cuts(values, labels, n_classes)
+        assert sum(map(len, cuts)) > 20
+        assert cuts == _per_gene_cuts(values, labels, n_classes)
+
+    def test_vectorised_mdl_test_matches_scalar(self):
+        rng = np.random.default_rng(29)
+        m = 2000
+        size = rng.integers(2, 200, m)
+        k = rng.integers(1, 5, m)
+        k1 = rng.integers(1, 5, m)
+        k2 = rng.integers(1, 5, m)
+        parent = rng.random(m) * 2
+        e_left = rng.random(m) * 2
+        e_right = rng.random(m) * 2
+        # Put each gain on the MDL bound and one ulp to either side, where
+        # any change to the order of operations flips decisions.
+        columns = (size, parent, e_left, e_right, k, k1, k2)
+        bound = np.array(
+            [
+                (math.log2(n - 1) + math.log2(3**c - 2) - (c * p - a * el - b * er))
+                / n
+                for n, p, el, er, c, a, b in zip(*(x.tolist() for x in columns))
+            ]
+        )
+        on_bound = parent - bound
+        weighted = np.concatenate(
+            [
+                parent - rng.random(m) * 0.3,
+                on_bound,
+                np.nextafter(on_bound, np.inf),
+                np.nextafter(on_bound, -np.inf),
+            ]
+        )
+        args = [np.tile(x, 4) for x in (size, parent)]
+        args += [weighted]
+        args += [np.tile(x, 4) for x in (e_left, e_right, k, k1, k2)]
+        got = discretize._mdl_accepts_all(*args)
+        expected = [
+            discretize._mdl_accepts(*row)
+            for row in zip(*(a.tolist() for a in args))
+        ]
+        assert got.tolist() == expected
+        assert 0 < got.sum() < got.size
+
+    def test_parent_entropies_shared_across_blocks(self, monkeypatch):
+        monkeypatch.setattr(discretize, "_GENE_BLOCK", 8)
+        seen = []
+        real = discretize.class_entropy
+
+        def counting(counts):
+            seen.append(tuple(counts.tolist()))
+            return real(counts)
+
+        monkeypatch.setattr(discretize, "class_entropy", counting)
+        rng = np.random.default_rng(31)
+        labels = np.repeat([0, 1], 20)
+        values = np.round(rng.normal(size=(40, 64)) + labels[:, None], 1)
+        _block_cuts(values, labels, 2)
+        # Identical columns in different blocks share parent count vectors.
+        assert len(seen) == len(set(seen)) > 0
+
+
+class TestRecordedCuts:
+    """Cut points of the full-size Table 3 splits, recorded with the
+    column-major, stable-sort kernel the gene-major one replaced: a sha256
+    of ``repr([(gene_index, cuts), ...])`` pins every cut to the bit."""
+
+    RECORDED = json.loads(
+        (Path(__file__).with_name("data") / "discretize_cuts.json").read_text()
+    )
+
+    @pytest.mark.parametrize("name", ["PC", "ALL"])
+    def test_given_training_split(self, name):
+        prof = profile(name)
+        data = generate_expression_data(prof, seed=0)
+        split = given_training_split(data.label_array, prof.given_training, 0)
+        disc = EntropyDiscretizer().fit(data.subset(split.train_indices))
+        cuts = [(part.gene_index, part.cuts) for part in disc.partitions]
+        recorded = self.RECORDED[name]
+        assert disc.n_kept_genes == recorded["n_kept_genes"]
+        assert disc.n_items == recorded["n_items"]
+        assert hashlib.sha256(repr(cuts).encode()).hexdigest() == (
+            recorded["sha256"]
+        )
+
+
+class TestTransformValues:
+    """The vectorised ``transform_values`` against the per-row
+    ``searchsorted`` reference."""
+
+    @pytest.fixture(scope="class")
+    def disc(self):
+        # Gene 0 separates two groups (one cut), gene 1 three (two cuts),
+        # gene 2 is noise and dropped.
+        rng = np.random.default_rng(37)
+        labels = [0] * 20 + [1] * 20 + [0] * 20
+        one = np.repeat([0.0, 5.0, 0.0], 20) + rng.normal(0, 0.1, 60)
+        two = np.repeat([0.0, 5.0, 9.0], 20) + rng.normal(0, 0.1, 60)
+        noise = rng.normal(0, 1, 60)
+        disc = EntropyDiscretizer().fit(
+            _matrix(np.column_stack([one, two, noise]), labels)
+        )
+        assert [len(p.cuts) for p in disc.partitions] == [1, 2]
+        return disc
+
+    def test_edges_match_scalar_reference(self, disc):
+        cut0 = disc.partitions[0].cuts[0]
+        low, high = disc.partitions[1].cuts
+        probe = np.array(
+            [
+                [np.nan, np.nan, 0.0],
+                [np.inf, -np.inf, np.nan],
+                [-np.inf, np.inf, np.inf],
+                [cut0, low, 1.0],
+                [cut0, high, -1.0],
+                [np.nextafter(cut0, np.inf), np.nextafter(low, np.inf), 0.0],
+                [cut0 - 1, (low + high) / 2, 0.0],
+            ]
+        )
+        got = disc.transform_values(probe)
+        assert got == disc._transform_values_scalar(probe)
+        # NaN takes the last interval of its gene, as searchsorted does.
+        assert got[0] == {1, 4}
+        # A value on a cut stays in the lower interval.
+        assert got[3] == {0, 2} and got[4] == {0, 3}
+
+    def test_no_kept_genes(self):
+        rng = np.random.default_rng(41)
+        disc = EntropyDiscretizer().fit(
+            _matrix(rng.normal(size=(20, 3)), [0, 1] * 10)
+        )
+        assert disc.n_kept_genes == 0
+        probe = rng.normal(size=(4, 3))
+        assert disc.transform_values(probe) == [frozenset()] * 4
+        assert disc._transform_values_scalar(probe) == [frozenset()] * 4
