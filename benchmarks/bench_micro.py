@@ -35,7 +35,7 @@ from repro.core.fast import (
     get_evaluator,
 )
 from repro.datasets.dataset import RelationalDataset
-from repro.datasets.discretize import EntropyDiscretizer
+from repro.datasets.discretize import EntropyDiscretizer, mdlp_cut_points
 from repro.datasets.profiles import scaled
 from repro.datasets.splits import given_training_split
 from repro.datasets.synthetic import generate_expression_data
@@ -188,7 +188,16 @@ def test_classifier_fit(benchmark, pipeline):
 def test_discretizer_fit(benchmark, pipeline):
     train, _, _ = pipeline
     disc = benchmark(lambda: EntropyDiscretizer().fit(train))
+    # What is timed must cut every gene as the per-gene MDLP recursion does.
+    labels = train.label_array
+    cuts = [(part.gene_index, part.cuts) for part in disc.partitions]
+    expected = []
+    for j in range(train.n_genes):
+        found = mdlp_cut_points(train.values[:, j], labels, train.n_classes)
+        if found:
+            expected.append((j, tuple(found)))
     assert disc.n_kept_genes > 0
+    assert cuts == expected
 
 
 def test_topk_mining(benchmark, pipeline):

@@ -8,9 +8,10 @@ partitioning).  This module implements it from scratch:
 * the cut minimizing class-information entropy is accepted iff its gain
   passes the MDL criterion, then both halves recurse;
 * ``EntropyDiscretizer`` fits blocks of genes at once (``_mdlp_block``:
-  one unstable sort per gene row, integer prefix counts and one vectorised
-  MDL test per recursion depth), with the same cut points, to the bit, as
-  the per-gene :func:`mdlp_cut_points`;
+  one unstable sort per gene row, integer prefix counts, depth-0 scores
+  read from one table per fit and one vectorised MDL test per recursion
+  depth), with the same cut points, to the bit, as the per-gene
+  :func:`mdlp_cut_points`;
 * genes with no accepted cut carry no class information and are dropped —
   Table 3's "Genes After Discretization" column counts the survivors;
 * every ``(gene, interval)`` pair becomes a boolean item; a sample expresses
@@ -42,8 +43,9 @@ def class_entropy(counts: np.ndarray) -> float:
 
 # Genes fitted together by one pass of :func:`_mdlp_block`.  A pass holds
 # O(n_samples × _GENE_BLOCK) float64s (the transposed block, its sort and
-# the depth-0 scores) and n_classes times as many int16 prefix counts, which
-# bounds the fit's peak memory whatever the gene count.
+# the depth-0 scores) and n_classes − 1 times as many int16 prefix counts,
+# which bounds the fit's peak memory whatever the gene count; the fit's
+# depth-0 table (_depth_zero) is never larger than those scores.
 _GENE_BLOCK = 512
 
 
@@ -213,6 +215,99 @@ def _mdl_accepts_all(
     return (gain > 0) & (gain > (log2_n + delta) / size)
 
 
+def _class_rows(head: np.ndarray, size) -> np.ndarray:
+    """Class counts of ranges holding ``size`` samples, class axis first,
+    from ``head``, the counts of every class but the last: the last class
+    counts ``size − Σ head``.  The integers are exact."""
+    last = (size - head.sum(axis=0)).astype(head.dtype)
+    return np.concatenate([head, last[None]])
+
+
+@dataclass(frozen=True)
+class _DepthZero:
+    """What every gene of one fit shares at depth 0.
+
+    There each gene's range is its whole column, so all genes have the
+    class totals ``totals``, the parent entropy ``parent``, and a cut
+    whose scores depend only on its left class-count vector ``l``: one
+    point of the box ``0 <= l[c] <= totals[c]``.  ``weighted``,
+    ``e_left`` and ``e_right`` hold the scores of every point of the box
+    at ``Σ_c l[c] · strides[c]``, or are None when the box has more points
+    than one block's dense score array, ``(n − 1) · _GENE_BLOCK``; blocks
+    then score every (gene, position) pair densely.
+    """
+
+    totals: np.ndarray
+    parent: float
+    strides: Optional[np.ndarray]
+    weighted: Optional[np.ndarray]
+    e_left: Optional[np.ndarray]
+    e_right: Optional[np.ndarray]
+
+    def best_cuts(
+        self, prefix: np.ndarray, distinct: np.ndarray
+    ) -> Tuple[np.ndarray, ...]:
+        """``(gene, pos, weighted, e_left, e_right)``: the first minimum of
+        every gene's whole row that has a candidate, with its scores."""
+        n = prefix.shape[2] - 1
+        position = np.arange(1, n)
+        if self.weighted is None:
+            left = _class_rows(prefix[:, :, 1:n], position)
+            n_left = position.astype(np.float64)
+            n_right = n - n_left
+            e_left = _side_entropy(left, n_left)
+            right = self.totals.astype(left.dtype)[:, None, None] - left
+            del left
+            e_right = _side_entropy(right, n_right)
+            del right
+            weighted = (n_left * e_left + n_right * e_right) / n
+        else:
+            # The last class's count is position − Σ others, so its stride
+            # (1) folds into the position and every other class's into
+            # ``stride − 1``.
+            key = np.broadcast_to(position, distinct.shape).copy()
+            for counts, stride in zip(prefix[:, :, 1:n], self.strides[:-1]):
+                key += counts * (stride - 1)
+            weighted = self.weighted[key]
+        weighted[~distinct] = np.inf
+        gene = np.flatnonzero(distinct.any(axis=1))
+        at = weighted.argmin(axis=1)[gene]  # first minimum, as in _best_cut
+        if self.weighted is None:
+            scores = weighted[gene, at], e_left[gene, at], e_right[gene, at]
+        else:
+            hit = key[gene, at]
+            scores = self.weighted[hit], self.e_left[hit], self.e_right[hit]
+        return (gene, at + 1, *scores)
+
+
+def _depth_zero(
+    labels: np.ndarray,
+    n_classes: int,
+    entropies: Dict[Tuple[int, ...], float],
+) -> _DepthZero:
+    """The :class:`_DepthZero` of a fit on ``labels``, built once per fit.
+
+    Each table entry is scored by :func:`_side_entropy` and the weighted
+    sum of :func:`_best_cut` on the same operand values as the dense
+    scoring (integer counts, float64 sizes), so it holds the same bits.
+    """
+    n = labels.size
+    totals = np.bincount(labels, minlength=n_classes)
+    parent = float(_parent_entropies(totals[:, None], entropies)[0])
+    box = totals + 1
+    if math.prod(box.tolist()) > (n - 1) * _GENE_BLOCK:
+        return _DepthZero(totals, parent, None, None, None, None)
+    left = np.indices(box).reshape(n_classes, -1)
+    n_left = left.sum(axis=0).astype(np.float64)
+    n_right = n - n_left
+    e_left = _side_entropy(left, n_left)
+    e_right = _side_entropy(totals[:, None] - left, n_right)
+    weighted = (n_left * e_left + n_right * e_right) / n
+    # C-order strides of np.indices' box: the last class's is 1.
+    strides = np.append(np.cumprod(box[:0:-1])[::-1], 1)
+    return _DepthZero(totals, parent, strides, weighted, e_left, e_right)
+
+
 def _best_range_cuts(
     prefix: np.ndarray,
     distinct: np.ndarray,
@@ -226,7 +321,7 @@ def _best_range_cuts(
     Returns ``(gene, lo, hi, pos, weighted, e_left, e_right)`` for the ranges
     that have a candidate, with the scores taken at ``pos``.
     """
-    n_classes, _, stride = prefix.shape
+    n_heads, _, stride = prefix.shape
     width = hi - lo - 1
     seg = np.repeat(np.arange(gene.size), width)
     pos = np.arange(seg.size) - np.repeat(np.cumsum(width) - width, width)
@@ -235,13 +330,15 @@ def _best_range_cuts(
     seg, pos = seg[candidate], pos[candidate]
 
     # Range counts are prefix differences, gathered from the flat prefix.
-    counts = prefix.reshape(n_classes, -1)
+    counts = prefix.reshape(n_heads, -1)
     row = gene[seg] * stride
     base = counts[:, row + lo[seg]]
-    left = counts[:, row + pos] - base
-    right = counts[:, row + hi[seg]] - base - left
+    head = counts[:, row + pos] - base
     size = (hi - lo)[seg]
-    n_left = (pos - lo[seg]).astype(np.float64)
+    in_left = pos - lo[seg]
+    left = _class_rows(head, in_left)
+    right = _class_rows(counts[:, row + hi[seg]] - base - head, size - in_left)
+    n_left = in_left.astype(np.float64)
     n_right = size - n_left
     e_left = _side_entropy(left, n_left)
     e_right = _side_entropy(right, n_right)
@@ -270,15 +367,16 @@ def _best_range_cuts(
 def _mdlp_block(
     values: np.ndarray,
     labels: np.ndarray,
-    n_classes: int,
+    depth_zero: _DepthZero,
     entropies: Dict[Tuple[int, ...], float],
 ) -> List[Tuple[int, Tuple[float, ...]]]:
     """``(column, cuts)`` for every column of ``values`` (samples × genes)
     with at least one MDLP cut; ``cuts`` ascend and equal
     :func:`mdlp_cut_points` of the column.
 
-    ``entropies`` caches the parent entropy of each class-count vector; one
-    dict serves every block of a fit.
+    ``depth_zero`` (:func:`_depth_zero` of ``labels``) and ``entropies``,
+    the parent entropy of each class-count vector, are built once per fit
+    and serve every block of it.
 
     Every range the recursion visits is a contiguous slice of the column's
     sort order: a cut falls only between *distinct* neighbours, and NaNs
@@ -291,50 +389,47 @@ def _mdlp_block(
     counts are differences of one integer prefix-count array.  The sorted
     values come from ``np.sort``: they equal the argsort's up to the sign
     of a zero, which neither the candidates nor the thresholds see.  Depth 0
-    scores every (gene, position) pair densely; each deeper depth is one
-    flat pass over the surviving ranges, and the MDL test of every range's
-    best cut is one vectorised pass (:func:`_mdl_accepts_all`).
+    reads every (gene, position) score from the fit's table (or scores
+    densely, :meth:`_DepthZero.best_cuts`); each deeper depth is one flat
+    pass over the surviving ranges, and the MDL test of every range's best
+    cut is one vectorised pass (:func:`_mdl_accepts_all`).
     """
     n, n_genes = values.shape
-    if n < 2:
+    n_classes = depth_zero.totals.size
+    # One class (or one sample) has no cut: every entropy is 0, no gain.
+    if n < 2 or n_classes < 2:
         return []
     rows = np.ascontiguousarray(values.T)
     ranked = labels[np.argsort(rows, axis=1)]
     ordered = np.sort(rows, axis=1)
-    # prefix[c, g, i] = class-c count of the first i sorted samples of gene g.
+    # prefix[c, g, i] = class-c count of the first i sorted samples of gene
+    # g, for every class but the last (_class_rows derives it).
     prefix = np.zeros(
-        (n_classes, n_genes, n + 1), dtype=np.int16 if n < 2**15 else np.int32
+        (n_classes - 1, n_genes, n + 1),
+        dtype=np.int16 if n < 2**15 else np.int32,
     )
-    for c in range(n_classes):
+    for c in range(n_classes - 1):
         np.cumsum(ranked == c, axis=1, dtype=prefix.dtype, out=prefix[c, :, 1:])
     del ranked
     # distinct[g, i]: a cut may fall before sorted position i + 1 of gene g.
     distinct = ordered[:, 1:] > ordered[:, :-1]
 
-    # Depth 0: the whole row of every gene, scored densely.
-    left = prefix[:, :, 1:n]
-    n_left = np.arange(1, n, dtype=np.float64)
-    n_right = n - n_left
-    e_left = _side_entropy(left, n_left)
-    e_right = _side_entropy(prefix[:, :, n:] - left, n_right)
-    weighted = (n_left * e_left + n_right * e_right) / n
-    weighted[~distinct] = np.inf
-    gene = np.flatnonzero(distinct.any(axis=1))
-    at = weighted[gene].argmin(axis=1)  # first minimum, as in _best_cut
-    pos = at + 1
+    gene, pos, *scores = depth_zero.best_cuts(prefix, distinct)
     lo = np.zeros(gene.size, dtype=np.intp)
     hi = np.full(gene.size, n, dtype=np.intp)
-    scores = weighted[gene, at], e_left[gene, at], e_right[gene, at]
-    del left, e_left, e_right, weighted
+    # Every depth-0 range is a whole column, with one parent entropy.
+    parent = np.full(gene.size, depth_zero.parent)
 
     cut_genes, thresholds = [], []
     while gene.size:
         base = prefix[:, gene, lo]
-        total = prefix[:, gene, hi] - base
-        left = prefix[:, gene, pos] - base
+        total = _class_rows(prefix[:, gene, hi] - base, hi - lo)
+        left = _class_rows(prefix[:, gene, pos] - base, pos - lo)
+        if parent is None:
+            parent = _parent_entropies(total, entropies)
         keep = _mdl_accepts_all(
             hi - lo,
-            _parent_entropies(total, entropies),
+            parent,
             *scores,
             (total > 0).sum(axis=0),
             (left > 0).sum(axis=0),
@@ -353,6 +448,7 @@ def _mdlp_block(
             np.concatenate([lo, pos]),
             np.concatenate([pos, hi]),
         )
+        parent = None
     if not cut_genes:
         return []
     gene = np.concatenate(cut_genes)
@@ -399,7 +495,7 @@ def _fit_columns(
     first_gene: int,
     gene_names: Sequence[str],
     labels: np.ndarray,
-    n_classes: int,
+    depth_zero: _DepthZero,
     entropies: Dict[Tuple[int, ...], float],
 ) -> List[GenePartition]:
     """Partitions of the kept genes among ``columns`` (genes ``first_gene``
@@ -407,7 +503,7 @@ def _fit_columns(
     partitions: List[GenePartition] = []
     for start in range(0, columns.shape[1], _GENE_BLOCK):
         block = columns[:, start : start + _GENE_BLOCK]
-        for offset, cuts in _mdlp_block(block, labels, n_classes, entropies):
+        for offset, cuts in _mdlp_block(block, labels, depth_zero, entropies):
             j = first_gene + start + offset
             partitions.append(GenePartition(j, gene_names[j], cuts))
     return partitions
@@ -444,13 +540,15 @@ class EntropyDiscretizer:
 
     def fit(self, data: ExpressionMatrix) -> "EntropyDiscretizer":
         """Learn cut points per gene from labeled training measurements."""
+        labels = data.label_array
+        entropies: Dict[Tuple[int, ...], float] = {}
         partitions = _fit_columns(
             data.values,
             0,
             data.gene_names,
-            data.label_array,
-            data.n_classes,
-            {},
+            labels,
+            _depth_zero(labels, data.n_classes, entropies),
+            entropies,
         )
         return self._finish_fit(partitions, data.class_names, data.n_genes)
 
@@ -502,6 +600,7 @@ class EntropyDiscretizer:
         # the in-memory block kernel on them.
         partitions: List[GenePartition] = []
         entropies: Dict[Tuple[int, ...], float] = {}
+        depth_zero = _depth_zero(labels, n_classes, entropies)
         for start in range(0, n_genes, gene_block):
             stop = min(start + gene_block, n_genes)
             columns = np.concatenate(
@@ -513,7 +612,7 @@ class EntropyDiscretizer:
                 )
             partitions.extend(
                 _fit_columns(
-                    columns, start, gene_names, labels, n_classes, entropies
+                    columns, start, gene_names, labels, depth_zero, entropies
                 )
             )
         return self._finish_fit(partitions, class_names, n_genes)

@@ -1,8 +1,10 @@
 """Entropy-MDL discretization tests (Fayyad–Irani MDLP)."""
 
+import functools
 import hashlib
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -192,13 +194,17 @@ def _per_gene_cuts(values, labels, n_classes):
     ]
 
 
-def _block_cuts(values, labels, n_classes):
-    data = ExpressionMatrix(
+def _classed(values, labels, n_classes):
+    return ExpressionMatrix(
         gene_names=tuple(f"g{j}" for j in range(values.shape[1])),
         values=values,
         labels=tuple(labels.tolist()),
         class_names=tuple(f"c{k}" for k in range(n_classes)),
     )
+
+
+def _block_cuts(values, labels, n_classes):
+    data = _classed(values, labels, n_classes)
     return _fitted_cuts(EntropyDiscretizer().fit(data), data.n_genes)
 
 
@@ -379,6 +385,166 @@ class TestGeneMajorKernel:
         _block_cuts(values, labels, 2)
         # Identical columns in different blocks share parent count vectors.
         assert len(seen) == len(set(seen)) > 0
+
+
+@functools.lru_cache(maxsize=None)
+def _given_training(name):
+    """The full-size given-training split of ``name`` (data seed 0)."""
+    prof = profile(name)
+    data = generate_expression_data(prof, seed=0)
+    split = given_training_split(data.label_array, prof.given_training, 0)
+    return data.subset(split.train_indices)
+
+
+class TestDepthZeroTable:
+    """Depth 0 read from one table of left class-count vectors per fit,
+    its dense fallback, and wall-clock-free pins of what it saves."""
+
+    @pytest.mark.parametrize("name", ["PC", "ALL", "LEUK3"])
+    def test_table_scores_equal_dense_bits(self, name):
+        train = _given_training(name)
+        labels, k = train.label_array, train.n_classes
+        n = labels.size
+        table = discretize._depth_zero(labels, k, {})
+        assert table.weighted is not None
+        # Dense scores of every (gene, position) of one block, from class
+        # counts taken per column with a stable sort.
+        block = train.values[:, : discretize._GENE_BLOCK]
+        ranked = labels[np.argsort(block, axis=0, kind="mergesort")].T
+        left = np.stack(
+            [np.cumsum(ranked == c, axis=1)[:, :-1] for c in range(k)]
+        )
+        n_left = np.arange(1, n, dtype=np.float64)
+        n_right = n - n_left
+        e_left = discretize._side_entropy(left, n_left)
+        e_right = discretize._side_entropy(
+            table.totals[:, None, None] - left, n_right
+        )
+        weighted = (n_left * e_left + n_right * e_right) / n
+        key = np.tensordot(table.strides, left, axes=1)
+        for got, dense in [
+            (table.weighted[key], weighted),
+            (table.e_left[key], e_left),
+            (table.e_right[key], e_right),
+        ]:
+            assert np.array_equal(got.view(np.int64), dense.view(np.int64))
+
+    def test_forced_fallback_matches_per_gene(self):
+        # 4 classes of 15: a box of 16**4 points, more than 59 * 512.
+        rng = np.random.default_rng(43)
+        labels = np.repeat(np.arange(4), 15)
+        shift = rng.normal(0, 1.5, 30)
+        values = np.round(
+            rng.normal(0, 1, (60, 30)) + labels[:, None] * shift, 1
+        )
+        values[rng.random(values.shape) < 0.05] = np.nan
+        assert discretize._depth_zero(labels, 4, {}).weighted is None
+        cuts = _block_cuts(values, labels, 4)
+        assert sum(map(len, cuts)) > 10
+        assert cuts == _per_gene_cuts(values, labels, 4)
+
+    def test_constant_block_skips_mdl_test(self, monkeypatch):
+        # The first 4-gene block is constant or all-NaN: no gene has a
+        # candidate, and the MDL test must not see empty arrays.
+        monkeypatch.setattr(discretize, "_GENE_BLOCK", 4)
+        sizes = []
+        real = discretize._mdl_accepts_all
+
+        def recording(size, *args):
+            sizes.append(size.size)
+            return real(size, *args)
+
+        monkeypatch.setattr(discretize, "_mdl_accepts_all", recording)
+        labels = np.repeat([0, 1], 10)
+        values = np.column_stack(
+            [np.full(20, 1.0), np.full(20, -3.0), np.full(20, np.nan)]
+            + [np.full(20, 7.0)]
+            + [labels + 0.5, labels * 2.0]
+        )
+        cuts = _block_cuts(values, labels, 2)
+        assert cuts == [(), (), (), (), (1.0,), (1.0,)]
+        assert sizes and min(sizes) > 0
+
+    @pytest.mark.parametrize("absent", [0, 1, 2])
+    def test_class_absent_from_training_labels(self, absent):
+        rng = np.random.default_rng(47 + absent)
+        present = [c for c in range(3) if c != absent]
+        labels = rng.choice(present, 50)
+        shift = rng.normal(0, 1.5, 25)
+        values = np.round(
+            rng.normal(0, 1, (50, 25)) + labels[:, None] * shift, 1
+        )
+        table = discretize._depth_zero(labels, 3, {})
+        assert table.totals[absent] == 0 and table.weighted is not None
+        cuts = _block_cuts(values, labels, 3)
+        assert sum(map(len, cuts)) > 5
+        assert cuts == _per_gene_cuts(values, labels, 3)
+
+    def test_table_built_once_per_fit(self, monkeypatch):
+        monkeypatch.setattr(discretize, "_GENE_BLOCK", 8)
+        built = []
+        real = discretize._depth_zero
+
+        def counting(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(discretize, "_depth_zero", counting)
+        rng = np.random.default_rng(53)
+        labels = np.repeat([0, 1, 2], 12)
+        data = _classed(
+            np.round(rng.normal(size=(36, 40)) + labels[:, None], 1), labels, 3
+        )
+        cold = EntropyDiscretizer().fit(data)
+        assert len(built) == 1
+        chunks = [data.subset(range(i, min(i + 10, 36))) for i in (0, 10, 20, 30)]
+        streamed = EntropyDiscretizer().fit_streaming(
+            lambda: iter(chunks), gene_block=8
+        )
+        assert len(built) == 2
+        assert cold.n_kept_genes > 0
+        assert streamed.partitions == cold.partitions
+
+    def test_depth_zero_scoring_does_not_grow_with_genes(self, monkeypatch):
+        # Count the class-count vectors scored outside the deeper depths.
+        scored = []
+        deeper = []
+        real_side, real_range = (
+            discretize._side_entropy,
+            discretize._best_range_cuts,
+        )
+
+        def side(counts, sizes):
+            if not deeper:
+                scored.append(counts[0].size)
+            return real_side(counts, sizes)
+
+        def ranges(*args):
+            deeper.append(True)
+            try:
+                return real_range(*args)
+            finally:
+                deeper.pop()
+
+        monkeypatch.setattr(discretize, "_side_entropy", side)
+        monkeypatch.setattr(discretize, "_best_range_cuts", ranges)
+        train = _given_training("PC")
+        EntropyDiscretizer().fit(train)
+        once = sum(scored)
+        scored.clear()
+        doubled = np.concatenate([train.values, train.values], axis=1)
+        EntropyDiscretizer().fit(_classed(doubled, train.label_array, 2))
+        assert sum(scored) == once > 0
+
+    def test_fit_peak_memory(self):
+        train = _given_training("PC")
+        tracemalloc.start()
+        try:
+            EntropyDiscretizer().fit(train)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.6 * 2**20
 
 
 class TestRecordedCuts:
