@@ -339,19 +339,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     serve.add_argument(
-        "--max-batch",
-        type=int,
-        default=32,
-        help="largest coalesced kernel batch per slot (default: 32)",
-    )
-    serve.add_argument(
-        "--max-wait-ms",
-        type=float,
-        default=2.0,
-        help="how long an open batch waits for stragglers; opens only when"
-        " requests are already queued (default: 2.0)",
-    )
-    serve.add_argument(
         "--deadline-ms",
         type=float,
         default=None,
@@ -849,10 +836,7 @@ def _run_serve_supervised(args: argparse.Namespace) -> int:
         if args.state_file
         else workdir / "serve-state.json"
     )
-    extra: List[str] = [
-        "--max-batch", str(args.max_batch),
-        "--max-wait-ms", str(args.max_wait_ms),
-    ]
+    extra: List[str] = []
     if args.tenant_quota is not None:
         extra += ["--tenant-quota", str(args.tenant_quota)]
     if args.deadline_ms is not None:
@@ -933,8 +917,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         )
     admin_token = _admin_token_from(args)
     config = ServeConfig(
-        max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
         default_deadline_ms=args.deadline_ms,
         shed_high=args.shed_high,
         admin_token=admin_token,

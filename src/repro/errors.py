@@ -168,7 +168,7 @@ class CircuitOpen(ServiceError):
 
 class QueryError(ReproError, ValueError):
     """A query was rejected at submission time (wrong gene count, NaN/inf
-    values, non-numeric dtype, out-of-range item index).
+    values, non-numeric dtype, out-of-range or non-integer item id).
 
     Raised by the service *before* the query reaches the worker, so a
     malformed request can never poison the batch it would have joined.

@@ -17,15 +17,12 @@ __all__ = ["ServeConfig"]
 
 @dataclass(frozen=True)
 class ServeConfig:
-    """Validated configuration for one micro-batching prediction service.
+    """Validated configuration for one prediction service.
+
+    Batching takes no knob: the worker batches only what is already queued,
+    up to 32 requests (see :mod:`repro.serving.service`).
 
     Attributes:
-        max_batch: largest batch the worker hands to the kernel.
-        max_wait_ms: how long the worker holds an open batch for stragglers.
-            The window opens only when other requests are already queued
-            behind the one the worker took; a request that finds the queue
-            empty is dispatched at once (``0`` batches only what is already
-            queued).
         max_pending: bound on queued requests; submitters past it block
             until the worker catches up (backpressure).
         default_deadline_ms: deadline applied to requests that do not carry
@@ -50,8 +47,6 @@ class ServeConfig:
             the gateway data-plane-only.
     """
 
-    max_batch: int = 32
-    max_wait_ms: float = 2.0
     max_pending: int = 1024
     default_deadline_ms: Optional[float] = None
     shed_high: Optional[int] = None
@@ -63,10 +58,6 @@ class ServeConfig:
     admin_token: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
-        if self.max_wait_ms < 0:
-            raise ValueError("max_wait_ms must be >= 0")
         if self.max_pending < 1:
             raise ValueError("max_pending must be >= 1")
         if self.default_deadline_ms is not None and self.default_deadline_ms <= 0:

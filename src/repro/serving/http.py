@@ -3,10 +3,10 @@
 :class:`GatewayServer` wraps a :class:`~repro.serving.registry.ModelRegistry`
 in a :class:`http.server.ThreadingHTTPServer` — no third-party web stack,
 one connection thread per client, every request funnelled through the
-registry's admission (tenant quotas) and each slot's micro-batch queue.
-Because the service coalesces concurrent callers into batched kernel calls,
-the thread-per-connection model is exactly what the batcher wants: many
-blocked submitter threads, one hot worker per slot.
+registry's admission (tenant quotas) and each slot's request queue.  Each
+slot's worker batches whatever requests are already queued (up to 32) into
+one kernel call and never waits for more, so many blocked submitter
+threads feed one hot worker per slot.
 
 Endpoints (all JSON)::
 

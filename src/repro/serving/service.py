@@ -1,17 +1,21 @@
-"""Micro-batching prediction service with self-healing failure handling.
+"""Prediction service that batches concurrent queries, with self-healing
+failure handling.
 
-Single-query callers never benefit from the batched BSTCE kernel: each
-``classification_values`` call pays the full per-query dispatch and matmul
-cost alone.  :class:`PredictionService` closes that gap for concurrent
-callers — requests are enqueued, a dedicated worker thread coalesces
-whatever has accumulated into one ``classification_values_batch`` call, and
-each caller gets exactly its own row back.  **Dispatch on idle:** a request
-that finds the queue empty is evaluated at once, as a batch of one; only
-when other requests are already queued (they arrived while the previous
-batch was computing) does the worker open a straggler window of at most
-``max_wait_ms`` and batch up to ``max_batch`` of them.  Under concurrent
-load the per-query cost converges to the batched kernel's amortized cost;
-an idle service adds no wait to a lone request.
+:class:`PredictionService` puts concurrent single-query callers behind one
+worker thread.  Requests are enqueued; the worker blocks for one, then
+takes whatever else is **already queued** (never waiting for more), up to
+:data:`_MAX_BATCH` = 32, runs one ``classification_values_batch`` call,
+and hands each caller exactly its own row.  A lone request therefore runs
+at once as a batch of one, and requests that arrived while the previous
+batch was computing share the next kernel call.  BSTCE values are
+per-query independent, so a batch shares only kernel overhead, never
+results.
+
+On the full-size ALL / PC profiles with 8 closed-loop callers this answers
+in 0.207 / 0.807 ms per query, against 0.447 / 1.053 ms with a 2 ms
+straggler window and 0.291 / 0.843 ms in batches of one (medians of 10
+rounds on a 2-vCPU VM; ``docs/SERVING.md`` has the table).  Closed-loop
+callers never fill a straggler window, so the worker waits for nothing.
 
 Design points:
 
@@ -91,6 +95,12 @@ __all__ = [
 #: Queue sentinel marking the end of accepted work.
 _SHUTDOWN = object()
 
+#: Most requests one kernel call takes from the queue.  BSTCE values are
+#: per-query independent, so the cap bounds a batch's latency and memory,
+#: never its rows; 32 was the default of the configurable cap it replaces,
+#: so a service built on the defaults batches as before.
+_MAX_BATCH = 32
+
 #: Ceiling on the supervised worker's restart backoff.
 _RESTART_BACKOFF_CAP = 1.0
 
@@ -146,8 +156,8 @@ class PredictionService:
         model: object with ``classification_values_batch`` (and
             ``dataset.n_classes`` for shape fallbacks) — an evaluator or a
             fitted classifier.
-        config: the validated :class:`ServeConfig` knob bundle (batching,
-            deadlines, shedding, breaker, supervision).  Defaults to
+        config: the validated :class:`ServeConfig` knob bundle (queue
+            bound, deadlines, shedding, breaker, supervision).  Defaults to
             ``ServeConfig()``.
         counters: counter sink (defaults to the process-wide
             :data:`~repro.evaluation.timing.engine_counters`).
@@ -167,8 +177,6 @@ class PredictionService:
             config = ServeConfig()
         self._config = config
         self._model = model
-        self._max_batch = int(config.max_batch)
-        self._max_wait = float(config.max_wait_ms) / 1000.0
         self._counters = counters if counters is not None else engine_counters
         self._default_deadline = (
             None
@@ -395,52 +403,54 @@ class PredictionService:
                 # This request is the probe; its batch outcome decides.
                 self._half_open_probe = True
 
+    def _reject(self, message: str) -> QueryError:
+        self._counters.increment("service_query_rejects")
+        return QueryError(message)
+
     def _validate_query(self, query: Any) -> None:
         n_items = getattr(getattr(self._model, "dataset", None), "n_items", None)
         if isinstance(query, np.ndarray):
             if query.ndim != 1:
-                self._counters.increment("service_query_rejects")
-                raise QueryError(
+                raise self._reject(
                     f"query must be a 1-D gene vector, got shape"
                     f" {tuple(query.shape)}"
                 )
             if n_items is not None and query.shape[0] != n_items:
-                self._counters.increment("service_query_rejects")
-                raise QueryError(
+                raise self._reject(
                     f"query has {query.shape[0]} genes, model expects"
                     f" {n_items}"
                 )
             if query.dtype.kind not in "biuf":
-                self._counters.increment("service_query_rejects")
-                raise QueryError(
+                raise self._reject(
                     f"query dtype {query.dtype} is not boolean/numeric"
                 )
             if query.dtype.kind == "f":
                 bad = ~np.isfinite(query)
                 if bad.any():
                     index = int(np.flatnonzero(bad)[0])
-                    self._counters.increment("service_query_rejects")
-                    raise QueryError(
+                    raise self._reject(
                         f"query gene {index} is {query[index]!r}"
                         " (values must be finite)"
                     )
             return
         try:
-            items = list(map(int, query))
-        except (TypeError, ValueError) as exc:
-            self._counters.increment("service_query_rejects")
-            raise QueryError(
+            items = list(query)
+        except TypeError as exc:
+            raise self._reject(
                 f"query must be an indicator vector or an item-index set:"
                 f" {exc}"
             ) from exc
+        for item in items:
+            # bool is an int subclass, but a set of flags is no item set.
+            if isinstance(item, bool) or not isinstance(item, (int, np.integer)):
+                raise self._reject(f"query item id {item!r} is not an integer")
         if (
             n_items is not None
             and items
             and (min(items) < 0 or max(items) >= n_items)
         ):
             index = next(i for i in items if not 0 <= i < n_items)
-            self._counters.increment("service_query_rejects")
-            raise QueryError(
+            raise self._reject(
                 f"query item index {index} is outside the model's"
                 f" [0, {n_items}) gene range"
             )
@@ -456,48 +466,30 @@ class PredictionService:
 
     def _run(self) -> None:
         while True:
+            # Block for one request, then take only what is already queued:
+            # the worker never waits on the clock for stragglers.
+            batch: List[_Request] = []
             item = self._queue.get()
+            while item is not _SHUTDOWN:
+                if self._expired(item):
+                    self._answer_expired(item)
+                else:
+                    batch.append(item)
+                if len(batch) == _MAX_BATCH:
+                    break
+                try:
+                    item = self._queue.get_nowait()
+                except queue.Empty:
+                    break
             if item is _SHUTDOWN:
                 # close() guarantees nothing was accepted after the
-                # sentinel, and everything before it was dequeued first.
+                # sentinel.  Record it before evaluating: if the model kills
+                # the worker now, the supervisor must not wait for a second
+                # sentinel.
                 self._saw_shutdown = True
-                return
-            if self._expired(item):
-                self._answer_expired(item)
-                continue
-            batch = [item]
-            # Dispatch on idle: a request with nothing queued behind it runs
-            # at once.  The straggler window opens only when others are
-            # already waiting, i.e. arrived while the last batch computed.
-            window = self._max_wait if self._queue.qsize() else 0.0
-            deadline = time.monotonic() + window
-            saw_shutdown = False
-            while len(batch) < self._max_batch:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    # Batch window closed; take only what is already queued.
-                    try:
-                        extra = self._queue.get_nowait()
-                    except queue.Empty:
-                        break
-                else:
-                    try:
-                        extra = self._queue.get(timeout=remaining)
-                    except queue.Empty:
-                        break
-                if extra is _SHUTDOWN:
-                    saw_shutdown = True
-                    break
-                if self._expired(extra):
-                    self._answer_expired(extra)
-                    continue
-                batch.append(extra)
-            if saw_shutdown:
-                # Record before evaluating: if the model kills the worker
-                # now, the supervisor must not wait for a second sentinel.
-                self._saw_shutdown = True
-            self._process(batch)
-            if saw_shutdown:
+            if batch:
+                self._process(batch)
+            if self._saw_shutdown:
                 return
 
     def _process(self, batch: List[_Request]) -> None:

@@ -40,7 +40,7 @@ def _service_restarts(monkeypatch, example, n):
         evaluator, faults=[ServiceFault(i, "kill") for i in range(n)]
     )
     query = np.zeros(example.n_items, dtype=bool)
-    config = ServeConfig(max_wait_ms=0.0, breaker_threshold=None)
+    config = ServeConfig(breaker_threshold=None)
     with PredictionService(flaky, config, counters=EngineCounters()) as service:
         for _ in range(n):
             with pytest.raises(WorkerCrashed):

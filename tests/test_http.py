@@ -23,7 +23,7 @@ def gateway(tmp_path, example):
     clf = BSTClassifier().fit(example)
     artifact = clf.save(tmp_path / "model.npz")
     registry = ModelRegistry(
-        ServeConfig(max_wait_ms=0.5),
+        ServeConfig(),
         tenant_quota=4,
         counters=EngineCounters(),
     )

@@ -74,16 +74,17 @@ class _Gate:
 
 
 def _served_with_poison(evaluator, queries):
-    """The queries plus one poison row, coalesced into one service batch;
-    the worker bisects the poison out and answers the rest."""
+    """The queries plus one poison row, queued behind a wedged batch; the
+    worker drains them in batches of at most 32 (65 queries + poison =
+    32 + 32 + 2), bisects the poison out of the last and answers the
+    rest."""
     poison = np.ones(queries.shape[1], dtype=bool)
     assert not queries.all(axis=1).any()
     model = _Gate(
         FlakyBatchModel(evaluator, poison=lambda row: bool(np.all(row)))
     )
     counters = EngineCounters()
-    config = ServeConfig(max_batch=len(queries) + 1, max_wait_ms=60_000.0)
-    with PredictionService(model, config, counters=counters) as service:
+    with PredictionService(model, ServeConfig(), counters=counters) as service:
         wedge = service._submit(np.zeros(queries.shape[1], dtype=bool), None)
         assert model.started.wait(30)
         requests = [service._submit(q, None) for q in queries]

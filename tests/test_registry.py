@@ -121,10 +121,7 @@ class TestHotSwap:
         # leaking to callers, no double answers.
         artifact = BSTClassifier().fit(example).save(tmp_path / "m.npz")
         counters = EngineCounters()
-        registry = ModelRegistry(
-            ServeConfig(max_batch=4, max_wait_ms=0.5),
-            counters=counters,
-        )
+        registry = ModelRegistry(ServeConfig(), counters=counters)
         registry.deploy("exp", artifact)
         expected = BSTClassifier().fit(example).predict(Q)
         n_threads, per_thread, n_swaps = 8, 25, 10
@@ -204,9 +201,7 @@ class TestTenantQuota:
         gated = _Gated(clf)
         counters = EngineCounters()
         registry = ModelRegistry(
-            ServeConfig(max_batch=1, max_wait_ms=0.0),
-            tenant_quota=2,
-            counters=counters,
+            ServeConfig(), tenant_quota=2, counters=counters
         )
         registry.deploy_model("exp", gated)
         results = []

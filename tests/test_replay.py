@@ -473,9 +473,7 @@ class TestChaosReplay:
             generate_trace(config),
             classifier,
             tmp_path,
-            config=ServeConfig(
-                breaker_threshold=3, breaker_cooldown=30.0, max_batch=4
-            ),
+            config=ServeConfig(breaker_threshold=3, breaker_cooldown=30.0),
         )
         assert sum(report.outcomes.values()) == 300
         assert report.outcomes.get("breaker", 0) > 0
@@ -816,9 +814,7 @@ class TestBreakerVisibility:
         )
         counters = EngineCounters()
         registry = ModelRegistry(
-            ServeConfig(
-                breaker_threshold=1, breaker_cooldown=30.0, max_batch=1
-            ),
+            ServeConfig(breaker_threshold=1, breaker_cooldown=30.0),
             counters=counters,
         )
         try:

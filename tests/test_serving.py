@@ -16,6 +16,7 @@ from repro.core.fast import (
 )
 from repro.errors import WorkerCrashed
 from repro.evaluation.timing import EngineCounters
+from repro.serving import service as service_module
 from repro.serving import (
     CircuitOpen,
     DeadlineExceeded,
@@ -55,6 +56,7 @@ class _GatedModel:
         self._gates = dict(gates)  # call index -> threading.Event
         self._lock = threading.Lock()
         self.calls = 0
+        self.sizes = []  # queries per call, in call order
         self.started = threading.Event()
 
     @property
@@ -65,6 +67,7 @@ class _GatedModel:
         with self._lock:
             index = self.calls
             self.calls += 1
+            self.sizes.append(len(queries))
         self.started.set()
         gate = self._gates.get(index)
         if gate is not None:
@@ -106,9 +109,7 @@ class TestCorrectness:
         def call(i):
             results[i] = service.classification_values(queries[i])
 
-        with make_service(
-            evaluator, max_batch=8, max_wait_ms=5.0, counters=EngineCounters()
-        ) as service:
+        with make_service(evaluator, counters=EngineCounters()) as service:
             threads = [
                 threading.Thread(target=call, args=(i,))
                 for i in range(len(queries))
@@ -121,65 +122,91 @@ class TestCorrectness:
 
 
 class TestBatching:
+    """The worker batches only what is already queued.  Deterministic: no
+    sleeps, the ordering is forced by wedging the worker in batch 0."""
+
     def test_concurrent_load_coalesces(self, evaluator):
+        gate = threading.Event()
+        model = _GatedModel(evaluator, {0: gate})
         counters = EngineCounters()
         rng = np.random.default_rng(9)
-        queries = _queries(rng, evaluator.dataset.n_items, n=32)
-        barrier = threading.Barrier(len(queries))
+        queries = _queries(rng, evaluator.dataset.n_items, n=24)
+        results = [None] * len(queries)
 
-        def call(q):
-            barrier.wait()
-            service.classification_values(q)
+        def call(i):
+            results[i] = service.classification_values(queries[i], timeout=30)
 
-        with make_service(
-            evaluator, max_batch=8, max_wait_ms=20.0, counters=counters
-        ) as service:
-            threads = [
-                threading.Thread(target=call, args=(q,)) for q in queries
-            ]
-            for t in threads:
+        threads = [
+            threading.Thread(target=call, args=(i,))
+            for i in range(len(queries))
+        ]
+        service = make_service(model, counters=counters)
+        try:
+            threads[0].start()
+            assert model.started.wait(10)  # batch 0 is computing
+            for t in threads[1:]:
                 t.start()
+            assert _poll(lambda: service.pending() == len(queries) - 1)
+            gate.set()
             for t in threads:
-                t.join()
+                t.join(30)
+                assert not t.is_alive()
+        finally:
+            gate.set()  # never leave the worker wedged on a failure
+            service.close()
+        # Everything queued behind the wedged batch shares one kernel call.
+        assert model.sizes == [1, len(queries) - 1]
+        assert np.array_equal(
+            np.asarray(results), evaluator.classification_values_batch(queries)
+        )
         snap = counters.snapshot()
         assert snap["service_requests"] == len(queries)
         assert snap["service_batched_queries"] == len(queries)
-        # 32 simultaneous callers over batches of <= 8 must coalesce at
-        # least once; all-singleton batching would mean 32 batches.
-        assert snap["max_service_batch"] > 1
-        assert snap["service_batches"] < len(queries)
+        assert snap["service_batches"] == 2
+        assert snap["max_service_batch"] == len(queries) - 1
         assert snap["service_compute_seconds"] > 0
         assert snap["service_latency_seconds"] > 0
 
     def test_lone_request_is_answered(self, evaluator):
         counters = EngineCounters()
-        with make_service(
-            evaluator, max_wait_ms=0.0, counters=counters
-        ) as service:
-            query = np.zeros(evaluator.dataset.n_items, dtype=bool)
-            service.classification_values(query)
-        assert counters.get("service_batches") == 1
-        assert counters.get("max_service_batch") == 1
-
-
-class TestDispatchOnIdle:
-    """A request that finds the queue empty runs at once; the straggler
-    window only batches requests already queued behind it.  Deterministic:
-    no sleeps, the ordering is forced with events and direct submits."""
-
-    def test_lone_request_skips_the_straggler_window(self, evaluator):
-        counters = EngineCounters()
         query = np.zeros(evaluator.dataset.n_items, dtype=bool)
         query[[0, 3]] = True
-        with make_service(
-            evaluator, max_wait_ms=60000.0, counters=counters
-        ) as service:
-            # A one-minute window would blow this timeout if it opened.
+        with make_service(evaluator, counters=counters) as service:
             values = service.classification_values(query, timeout=10)
         assert np.array_equal(
             values, evaluator.classification_values_batch([query])[0]
         )
         assert counters.get("service_batches") == 1
+        assert counters.get("max_service_batch") == 1
+
+    def test_batches_are_capped(self, evaluator):
+        gate = threading.Event()
+        model = _GatedModel(evaluator, {0: gate})
+        counters = EngineCounters()
+        rng = np.random.default_rng(19)
+        n_queued = service_module._MAX_BATCH + 5
+        queries = _queries(rng, evaluator.dataset.n_items, n=1 + n_queued)
+        service = make_service(model, counters=counters)
+        try:
+            requests = [service._submit(queries[0], None)]
+            assert model.started.wait(10)  # batch 0 is computing
+            requests += [service._submit(q, None) for q in queries[1:]]
+            gate.set()
+            for request in requests:
+                assert request.done.wait(10)
+        finally:
+            gate.set()
+            service.close()
+        assert model.sizes == [1, service_module._MAX_BATCH, 5]
+        expected = evaluator.classification_values_batch(queries)
+        for row, request in zip(expected, requests):
+            assert request.error is None
+            assert np.array_equal(request.values, row)
+
+
+class TestDispatchOnIdle:
+    """A request that finds the queue empty runs at once; requests queued
+    while a batch computes share the next one."""
 
     def test_requests_queued_during_a_batch_coalesce(self, evaluator):
         gate = threading.Event()
@@ -187,9 +214,7 @@ class TestDispatchOnIdle:
         counters = EngineCounters()
         rng = np.random.default_rng(17)
         queries = _queries(rng, evaluator.dataset.n_items, n=4)
-        service = make_service(
-            model, max_batch=3, max_wait_ms=60000.0, counters=counters
-        )
+        service = make_service(model, counters=counters)
         try:
             first = service._submit(queries[0], None)
             assert model.started.wait(10)  # batch 1 is computing
@@ -200,9 +225,8 @@ class TestDispatchOnIdle:
         finally:
             gate.set()  # never leave the worker wedged on a failure
             service.close()
-        # The three queued requests fill batch 2 (max_batch=3), so the
-        # long window closes on the batch limit, not on the clock.
-        assert model.calls == 2
+        # The three queued requests form batch 2; nothing waits for more.
+        assert model.sizes == [1, 3]
         assert counters.get("max_service_batch") == 3
         assert counters.get("service_batches") == 2
         expected = evaluator.classification_values_batch(queries)
@@ -262,7 +286,7 @@ class TestLifecycle:
                 errors.append(exc)
 
         with make_service(
-            Broken(), max_wait_ms=10.0, counters=counters, breaker_threshold=None
+            Broken(), counters=counters, breaker_threshold=None
         ) as service:
             threads = [
                 threading.Thread(target=call, args=(service,))
@@ -284,8 +308,6 @@ class TestLifecycle:
         queries = _queries(rng, evaluator.dataset.n_items, n=20)
         with make_service(
             evaluator,
-            max_batch=4,
-            max_wait_ms=1.0,
             max_pending=2,
             counters=EngineCounters(),
         ) as service:
@@ -308,9 +330,9 @@ class TestLifecycle:
 
     def test_invalid_parameters(self, evaluator):
         with pytest.raises(ValueError):
-            make_service(evaluator, max_batch=0)
+            make_service(evaluator, breaker_threshold=0)
         with pytest.raises(ValueError):
-            make_service(evaluator, max_wait_ms=-1.0)
+            make_service(evaluator, restart_backoff=-1.0)
         with pytest.raises(ValueError):
             make_service(evaluator, max_pending=0)
 
@@ -328,8 +350,6 @@ class TestShutdownStress:
             counters = EngineCounters()
             service = make_service(
                 evaluator,
-                max_batch=4,
-                max_wait_ms=0.5,
                 max_pending=8,
                 counters=counters,
             )
@@ -408,6 +428,25 @@ class TestQueryValidation:
             with pytest.raises(QueryError, match="outside"):
                 service.classification_values({0, evaluator.dataset.n_items})
 
+    def test_non_integer_item_ids_never_reach_the_batch(self, evaluator):
+        # Float ids would pass an int() conversion and then fail inside the
+        # kernel, counting as poison and tripping the breaker for everyone.
+        counters = EngineCounters()
+        with make_service(
+            evaluator, breaker_threshold=2, counters=counters
+        ) as service:
+            for query in ([1.5, 2], [1.0, 2.0], {3.7}):
+                with pytest.raises(QueryError, match="not an integer"):
+                    service.classification_values(query)
+            assert service.health().breaker == "closed"
+            values = service.classification_values([np.int64(0), 3, 4])
+        assert np.array_equal(
+            values, evaluator.classification_values({0, 3, 4})
+        )
+        assert counters.get("service_query_rejects") == 3
+        assert counters.get("service_batch_errors") == 0
+        assert counters.get("service_poison_queries") == 0
+
     def test_item_index_set_accepted(self, evaluator):
         with make_service(evaluator, counters=EngineCounters()) as service:
             values = service.classification_values({0, 3, 4})
@@ -451,9 +490,7 @@ class TestDeadlines:
         counters = EngineCounters()
         zeros = np.zeros(evaluator.dataset.n_items, dtype=bool)
         outcome = {}
-        with make_service(
-            model, max_batch=1, max_wait_ms=0.0, counters=counters
-        ) as service:
+        with make_service(model, counters=counters) as service:
             wedge = threading.Thread(
                 target=service.classification_values, args=(zeros,)
             )
@@ -485,8 +522,6 @@ class TestDeadlines:
         errors = []
         with make_service(
             model,
-            max_batch=1,
-            max_wait_ms=0.0,
             default_deadline_ms=20.0,
             counters=EngineCounters(),
         ) as service:
@@ -525,8 +560,6 @@ class TestAdmissionControl:
         zeros = np.zeros(evaluator.dataset.n_items, dtype=bool)
         service = make_service(
             model,
-            max_batch=1,
-            max_wait_ms=0.0,
             shed_high=2,
             shed_low=0,
             counters=counters,
@@ -612,9 +645,7 @@ class TestPoisonIsolation:
             except Exception as exc:
                 results[key] = exc
 
-        with make_service(
-            model, max_batch=8, max_wait_ms=50.0, counters=counters
-        ) as service:
+        with make_service(model, counters=counters) as service:
             wedge = threading.Thread(target=call, args=("wedge", zeros))
             wedge.start()
             assert model.started.wait(5.0)
@@ -648,7 +679,6 @@ class TestWorkerSupervision:
         query = np.zeros(evaluator.dataset.n_items, dtype=bool)
         with make_service(
             flaky,
-            max_wait_ms=0.0,
             restart_backoff=0.0,
             breaker_threshold=None,
             counters=counters,
@@ -689,8 +719,6 @@ class TestWorkerSupervision:
 
         with make_service(
             flaky,
-            max_batch=4,
-            max_wait_ms=20.0,
             restart_backoff=0.0,
             breaker_threshold=None,
             counters=counters,
@@ -733,7 +761,6 @@ class TestCircuitBreaker:
         query = np.zeros(evaluator.dataset.n_items, dtype=bool)
         with make_service(
             flaky,
-            max_wait_ms=0.0,
             breaker_threshold=2,
             breaker_cooldown=0.2,
             counters=counters,
@@ -769,7 +796,6 @@ class TestCircuitBreaker:
         query = np.zeros(evaluator.dataset.n_items, dtype=bool)
         with make_service(
             flaky,
-            max_wait_ms=0.0,
             breaker_threshold=1,
             breaker_cooldown=0.15,
             counters=counters,
@@ -807,8 +833,6 @@ class TestCloseCrashStress:
             )
             service = make_service(
                 flaky,
-                max_batch=4,
-                max_wait_ms=0.5,
                 restart_backoff=0.0,
                 breaker_threshold=None,
                 counters=EngineCounters(),
@@ -905,37 +929,39 @@ class TestServeConfigSurface:
     pass service settings."""
 
     def test_config_object_is_the_canonical_path(self, evaluator):
-        config = ServeConfig(max_batch=4, max_wait_ms=0.5)
+        config = ServeConfig(max_pending=4, breaker_threshold=None)
         with PredictionService(
             evaluator, config, counters=EngineCounters()
         ) as service:
             assert service.config is config
-            assert service.config.max_batch == 4
+            assert service.config.max_pending == 4
             label = service.predict({0, 3, 4})
         assert label == int(
             np.argmax(evaluator.classification_values({0, 3, 4}))
         )
 
     def test_unknown_kwarg_is_a_type_error(self, evaluator):
-        with pytest.raises(TypeError, match="max_bach"):
-            PredictionService(evaluator, max_bach=4)
+        with pytest.raises(TypeError, match="max_pendin"):
+            PredictionService(evaluator, max_pendin=4)
         # Config fields are not keyword arguments of the service either.
+        with pytest.raises(TypeError, match="max_pending"):
+            PredictionService(evaluator, max_pending=4)
+        # Batching has no knob: the worker batches what is already queued.
         with pytest.raises(TypeError, match="max_batch"):
-            PredictionService(evaluator, max_batch=4)
+            ServeConfig(max_batch=4)
 
     def test_config_is_frozen_and_validated(self):
         import dataclasses
 
         config = ServeConfig()
         with pytest.raises(dataclasses.FrozenInstanceError):
-            config.max_batch = 2
+            config.max_pending = 2
         with pytest.raises(ValueError):
             ServeConfig(shed_low=4)  # shed_low needs shed_high
         assert ServeConfig(shed_high=8).shed_low == 4  # hysteresis default
 
     def test_with_overrides_revalidates(self):
-        config = ServeConfig(max_batch=4)
-        assert config.with_overrides(max_batch=8).max_batch == 8
+        config = ServeConfig(max_pending=4)
+        assert config.with_overrides(max_pending=8).max_pending == 8
         with pytest.raises(ValueError):
-            config.with_overrides(max_batch=0)
-
+            config.with_overrides(max_pending=0)

@@ -161,7 +161,7 @@ class TestServeCommand:
             ready_file=tmp_path / "ready",
             state_file=tmp_path / "state.json",
             admin_token="tok",
-            extra_args=("--max-batch", "8"),
+            extra_args=("--tenant-quota", "8"),
         )
         text = " ".join(command)
         assert "--model a=a.npz --model b=b.npz" in text  # sorted
@@ -169,7 +169,7 @@ class TestServeCommand:
         assert "--ready-file" in text
         assert "--state-file" in text
         assert "--admin-token tok" in text
-        assert text.endswith("--max-batch 8")
+        assert text.endswith("--tenant-quota 8")
 
     def test_validates_knobs(self, tmp_path):
         command = ["true"]
