@@ -169,13 +169,9 @@ class TestBatching:
 
     def test_lone_request_is_answered(self, evaluator):
         counters = EngineCounters()
-        query = np.zeros(evaluator.dataset.n_items, dtype=bool)
-        query[[0, 3]] = True
         with make_service(evaluator, counters=counters) as service:
-            values = service.classification_values(query, timeout=10)
-        assert np.array_equal(
-            values, evaluator.classification_values_batch([query])[0]
-        )
+            query = np.zeros(evaluator.dataset.n_items, dtype=bool)
+            service.classification_values(query)
         assert counters.get("service_batches") == 1
         assert counters.get("max_service_batch") == 1
 
@@ -207,6 +203,21 @@ class TestBatching:
 class TestDispatchOnIdle:
     """A request that finds the queue empty runs at once; requests queued
     while a batch computes share the next one."""
+
+    def test_lone_request_skips_the_straggler_window(self, evaluator):
+        # There is no window to wait out: the lone request is computed alone,
+        # at once, and its row is the direct evaluation's.
+        model = _GatedModel(evaluator, {})
+        counters = EngineCounters()
+        query = np.zeros(evaluator.dataset.n_items, dtype=bool)
+        query[[0, 3]] = True
+        with make_service(model, counters=counters) as service:
+            values = service.classification_values(query, timeout=10)
+        assert model.sizes == [1]
+        assert np.array_equal(
+            values, evaluator.classification_values_batch([query])[0]
+        )
+        assert counters.get("service_batches") == 1
 
     def test_requests_queued_during_a_batch_coalesce(self, evaluator):
         gate = threading.Event()
