@@ -27,6 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import AbstractSet, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..core.bitset import BitSet
 from ..datasets.dataset import RelationalDataset
 from ..rules.boolexpr import (
@@ -230,8 +232,8 @@ class BST:
             raise ValueError("grown dataset has different vocabularies")
         if (
             grown.n_samples < old_n
-            or grown.samples[:old_n] != base.samples
             or grown.labels[:old_n] != base.labels
+            or not np.array_equal(grown.bool_matrix[:old_n], base.bool_matrix)
         ):
             raise ValueError(
                 "grown dataset is not an append-only extension of the base"

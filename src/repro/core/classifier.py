@@ -129,8 +129,8 @@ class BSTClassifier:
                 grown.item_names != old.item_names
                 or grown.class_names != old.class_names
                 or grown.n_samples < old_n
-                or grown.samples[:old_n] != old.samples
                 or grown.labels[:old_n] != old.labels
+                or not np.array_equal(grown.bool_matrix[:old_n], old.bool_matrix)
             ):
                 raise ValueError(
                     "grown dataset is not an append-only extension of the"

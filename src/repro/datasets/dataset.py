@@ -14,9 +14,10 @@ sample/item relationship is all that the BST machinery needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import FrozenSet, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,47 +30,164 @@ class DatasetError(ReproError, ValueError):
     dataset file is malformed."""
 
 
-@dataclass(frozen=True)
+def _incidence(
+    samples: Sequence[Iterable[int]], n_items: int, first: int = 0
+) -> np.ndarray:
+    """The ``(len(samples), n_items)`` bool matrix of item-id rows, built in
+    one scatter; an id outside ``0..n_items-1`` is reported as sample
+    ``first + row``."""
+    try:
+        rows = [tuple(sample) for sample in samples]
+    except TypeError as exc:
+        raise DatasetError(
+            f"a sample is not a collection of item ids ({exc})"
+        ) from exc
+    lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    items = np.array(list(chain.from_iterable(rows)))
+    if not items.size:
+        items = items.astype(np.int64)
+    elif items.dtype.kind not in "iu":
+        raise DatasetError(f"item ids must be integers, got {items.dtype}")
+    owner = np.repeat(np.arange(len(rows)), lengths)
+    bad = np.flatnonzero((items < 0) | (items >= n_items))
+    if bad.size:
+        k = bad[0]
+        raise DatasetError(
+            f"sample {first + owner[k]} expresses unknown item {items[k]}"
+        )
+    matrix = np.zeros((len(rows), n_items), dtype=bool)
+    matrix[owner, items] = True
+    return matrix
+
+
 class RelationalDataset:
     """A discretized (boolean) gene expression dataset.
+
+    The stored form is the item incidence: one read-only ``(n_samples,
+    n_items)`` bool matrix.  The paper's Table 1 view — each sample's set
+    of expressed items — is :attr:`samples`, derived from the matrix on
+    first access and kept; the oracle, BST construction, the miners and the
+    baselines read it, while the compiled plan, the packed-bitset views and
+    :attr:`fingerprint` read the matrix.  The constructor scatters the
+    item sets it is given into the matrix in one pass;
+    :meth:`from_bool_matrix`, :meth:`subset`, :meth:`append_samples` and
+    ``EntropyDiscretizer.transform`` work on matrix rows and build no item
+    sets.
+
+    Two datasets are equal when their vocabularies, labels, sample names
+    and matrices are; the hash agrees through :attr:`fingerprint`.
+    Instances are immutable.
 
     Attributes:
         item_names: display name of each boolean item, indexed by item id.
         class_names: display name of each class, indexed by class id.
-        samples: for each sample, the frozen set of item ids it expresses.
+        bool_matrix: the ``(n_samples, n_items)`` incidence; row ``i``
+            marks the items sample ``i`` expresses.
         labels: class id of each sample.
+        label_array: ``labels`` as an int64 array.
         sample_names: optional display names for samples.
     """
 
     item_names: Tuple[str, ...]
     class_names: Tuple[str, ...]
-    samples: Tuple[FrozenSet[int], ...]
+    bool_matrix: np.ndarray
     labels: Tuple[int, ...]
-    sample_names: Optional[Tuple[str, ...]] = None
+    label_array: np.ndarray
+    sample_names: Optional[Tuple[str, ...]]
 
-    def __post_init__(self) -> None:
-        if len(self.samples) != len(self.labels):
+    def __init__(
+        self,
+        item_names: Sequence[str],
+        class_names: Sequence[str],
+        samples: Sequence[Iterable[int]],
+        labels: Sequence[int],
+        sample_names: Optional[Sequence[str]] = None,
+    ) -> None:
+        self._store(
+            _incidence(samples, len(item_names)),
+            item_names, class_names, labels, sample_names,
+        )
+
+    @classmethod
+    def _from_matrix(
+        cls,
+        matrix: np.ndarray,
+        item_names: Sequence[str],
+        class_names: Sequence[str],
+        labels: Sequence[int],
+        sample_names: Optional[Sequence[str]] = None,
+    ) -> "RelationalDataset":
+        """Wrap a bool matrix the caller hands over (it is not copied)."""
+        dataset = cls.__new__(cls)
+        dataset._store(matrix, item_names, class_names, labels, sample_names)
+        return dataset
+
+    def _store(self, matrix, item_names, class_names, labels, sample_names):
+        labels = tuple(int(v) for v in labels)
+        if matrix.shape[0] != len(labels):
             raise DatasetError(
-                f"{len(self.samples)} samples but {len(self.labels)} labels"
+                f"{matrix.shape[0]} samples but {len(labels)} labels"
             )
-        if self.sample_names is not None and len(self.sample_names) != len(self.samples):
-            raise DatasetError("sample_names length does not match samples")
-        n_items = len(self.item_names)
-        for idx, sample in enumerate(self.samples):
-            for item in sample:
-                if not 0 <= item < n_items:
-                    raise DatasetError(f"sample {idx} expresses unknown item {item}")
-        n_classes = len(self.class_names)
-        for idx, label in enumerate(self.labels):
-            if not 0 <= label < n_classes:
-                raise DatasetError(f"sample {idx} has unknown class id {label}")
+        if matrix.shape[1] != len(item_names):
+            raise DatasetError(
+                f"{matrix.shape[1]} matrix columns but {len(item_names)} items"
+            )
+        if sample_names is not None:
+            sample_names = tuple(sample_names)
+            if len(sample_names) != len(labels):
+                raise DatasetError("sample_names length does not match samples")
+        label_array = np.asarray(labels, dtype=np.int64)
+        bad = np.flatnonzero((label_array < 0) | (label_array >= len(class_names)))
+        if bad.size:
+            raise DatasetError(
+                f"sample {bad[0]} has unknown class id {labels[bad[0]]}"
+            )
+        matrix.flags.writeable = False
+        label_array.flags.writeable = False
+        self.__dict__.update(
+            item_names=tuple(item_names),
+            class_names=tuple(class_names),
+            bool_matrix=matrix,
+            labels=labels,
+            label_array=label_array,
+            sample_names=sample_names,
+        )
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RelationalDataset):
+            return NotImplemented
+        return (
+            self.item_names == other.item_names
+            and self.class_names == other.class_names
+            and self.labels == other.labels
+            and self.sample_names == other.sample_names
+            and np.array_equal(self.bool_matrix, other.bool_matrix)
+        )
+
+    def __hash__(self) -> int:
+        return hash(
+            (self.item_names, self.class_names, self.sample_names,
+             self.fingerprint)
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"RelationalDataset(n_samples={self.n_samples},"
+            f" n_items={self.n_items}, class_names={self.class_names!r})"
+        )
 
     # ------------------------------------------------------------------
     # Basic accessors
     # ------------------------------------------------------------------
     @property
     def n_samples(self) -> int:
-        return len(self.samples)
+        return self.bool_matrix.shape[0]
 
     @property
     def n_items(self) -> int:
@@ -78,6 +196,13 @@ class RelationalDataset:
     @property
     def n_classes(self) -> int:
         return len(self.class_names)
+
+    @cached_property
+    def samples(self) -> Tuple[FrozenSet[int], ...]:
+        """For each sample, the frozen set of item ids it expresses."""
+        return tuple(
+            frozenset(np.flatnonzero(row).tolist()) for row in self.bool_matrix
+        )
 
     def class_members(self, class_id: int) -> Tuple[int, ...]:
         """Sample indices belonging to ``class_id`` (the set C_i)."""
@@ -102,19 +227,6 @@ class RelationalDataset:
         if self.sample_names is not None:
             return self.sample_names[index]
         return f"s{index}"
-
-    @cached_property
-    def bool_matrix(self) -> np.ndarray:
-        """Dense boolean (n_samples x n_items) expression matrix."""
-        mat = np.zeros((self.n_samples, self.n_items), dtype=bool)
-        for row, sample in enumerate(self.samples):
-            if sample:
-                mat[row, list(sample)] = True
-        return mat
-
-    @cached_property
-    def label_array(self) -> np.ndarray:
-        return np.asarray(self.labels, dtype=np.int64)
 
     # ------------------------------------------------------------------
     # Packed-bitset views (the repro.core.bitset substrate)
@@ -143,9 +255,7 @@ class RelationalDataset:
 
     @cached_property
     def _class_bits(self) -> Tuple[BitSet, ...]:
-        masks = np.zeros((self.n_classes, self.n_samples), dtype=bool)
-        for i, lab in enumerate(self.labels):
-            masks[lab, i] = True
+        masks = self.label_array == np.arange(self.n_classes)[:, None]
         matrix = BitMatrix.from_bool(masks)
         return tuple(matrix.row(c) for c in range(self.n_classes))
 
@@ -186,7 +296,7 @@ class RelationalDataset:
     # ------------------------------------------------------------------
     def append_samples(
         self,
-        samples: Sequence[FrozenSet[int]],
+        samples: Sequence[Iterable[int]],
         labels: Sequence[int],
         sample_names: Optional[Sequence[str]] = None,
     ) -> "RelationalDataset":
@@ -198,20 +308,20 @@ class RelationalDataset:
         invariant that lets :meth:`~repro.bst.table.BST.append_rows` and
         :func:`~repro.core.plan.recompile_delta` reuse old state verbatim.
 
-        Already-computed derived caches (dense matrix, packed incidence
-        views, class bitsets) are extended in O(new rows × items) via the
-        bitset grow/append kernels instead of being recomputed from
-        scratch; the result is indistinguishable from a cold construction.
-        Labels must reference existing classes.
+        The new rows are stacked under the matrix.  Already-computed packed
+        views (incidence bit matrices, class bitsets) are extended in
+        O(new rows × items) via the bitset grow/append kernels instead of
+        being recomputed from scratch; the result is indistinguishable from
+        a cold construction.  Labels must reference existing classes.
         """
-        new_samples = tuple(frozenset(int(i) for i in s) for s in samples)
+        new_bool = _incidence(samples, self.n_items, first=self.n_samples)
         new_labels = tuple(int(lab) for lab in labels)
-        if not new_samples:
+        if not len(new_bool):
             return self
         if self.sample_names is not None:
             if sample_names is None:
                 sample_names = tuple(
-                    f"s{self.n_samples + k}" for k in range(len(new_samples))
+                    f"s{self.n_samples + k}" for k in range(len(new_bool))
                 )
             appended_names: Optional[Tuple[str, ...]] = (
                 self.sample_names + tuple(str(n) for n in sample_names)
@@ -222,30 +332,19 @@ class RelationalDataset:
             )
         else:
             appended_names = None
-        grown = RelationalDataset(
-            item_names=self.item_names,
-            class_names=self.class_names,
-            samples=self.samples + new_samples,
-            labels=self.labels + new_labels,
-            sample_names=appended_names,
+        grown = RelationalDataset._from_matrix(
+            np.vstack([self.bool_matrix, new_bool]),
+            self.item_names,
+            self.class_names,
+            self.labels + new_labels,
+            appended_names,
         )
 
-        # Seed the derived caches incrementally.  ``cached_property`` writes
-        # straight into the instance ``__dict__`` (bypassing the frozen
-        # dataclass's __setattr__), so pre-populating the same slots here is
-        # exactly equivalent to a cold first access.
+        # Seed the packed views incrementally.  ``cached_property`` writes
+        # straight into the instance ``__dict__``, so pre-populating the
+        # same slots here is exactly equivalent to a cold first access.
         old_n, new_n = self.n_samples, grown.n_samples
-        new_bool = np.zeros((len(new_samples), self.n_items), dtype=bool)
-        for row, sample in enumerate(new_samples):
-            if sample:
-                new_bool[row, list(sample)] = True
         seeded = grown.__dict__
-        if "bool_matrix" in self.__dict__:
-            seeded["bool_matrix"] = np.vstack([self.bool_matrix, new_bool])
-        if "label_array" in self.__dict__:
-            seeded["label_array"] = np.concatenate(
-                [self.label_array, np.asarray(new_labels, dtype=np.int64)]
-            )
         if "sample_rows" in self.__dict__:
             seeded["sample_rows"] = self.sample_rows.append_rows(new_bool)
         if "item_columns" in self.__dict__:
@@ -269,13 +368,14 @@ class RelationalDataset:
 
     def subset(self, indices: Sequence[int]) -> "RelationalDataset":
         """A new dataset containing only the given sample indices (in order)."""
-        return RelationalDataset(
-            item_names=self.item_names,
-            class_names=self.class_names,
-            samples=tuple(self.samples[i] for i in indices),
-            labels=tuple(self.labels[i] for i in indices),
-            sample_names=(
-                tuple(self.sample_names[i] for i in indices)
+        rows = np.asarray(list(indices), dtype=np.intp)
+        return RelationalDataset._from_matrix(
+            self.bool_matrix[rows],
+            self.item_names,
+            self.class_names,
+            self.label_array[rows],
+            (
+                tuple(self.sample_names[i] for i in rows)
                 if self.sample_names is not None
                 else None
             ),
@@ -293,27 +393,21 @@ class RelationalDataset:
         class_names: Optional[Sequence[str]] = None,
         sample_names: Optional[Sequence[str]] = None,
     ) -> "RelationalDataset":
-        """Build from a dense boolean matrix (n_samples x n_items)."""
-        matrix = np.asarray(matrix, dtype=bool)
+        """Build from a dense boolean matrix (n_samples x n_items); the
+        dataset keeps its own copy."""
+        matrix = np.array(matrix, dtype=bool)
         if matrix.ndim != 2:
             raise DatasetError("matrix must be 2-dimensional")
-        n_samples, n_items = matrix.shape
         if item_names is None:
-            item_names = [f"g{j + 1}" for j in range(n_items)]
+            item_names = [f"g{j + 1}" for j in range(matrix.shape[1])]
         if class_names is None:
             class_names = [str(c) for c in sorted(set(int(v) for v in labels))]
-        samples = tuple(
-            frozenset(int(j) for j in np.flatnonzero(matrix[i]))
-            for i in range(n_samples)
-        )
-        return RelationalDataset(
-            item_names=tuple(str(n) for n in item_names),
-            class_names=tuple(str(n) for n in class_names),
-            samples=samples,
-            labels=tuple(int(v) for v in labels),
-            sample_names=(
-                tuple(str(n) for n in sample_names) if sample_names is not None else None
-            ),
+        return RelationalDataset._from_matrix(
+            matrix,
+            tuple(str(n) for n in item_names),
+            tuple(str(n) for n in class_names),
+            labels,
+            tuple(str(n) for n in sample_names) if sample_names is not None else None,
         )
 
 

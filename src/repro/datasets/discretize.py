@@ -630,12 +630,14 @@ class EntropyDiscretizer:
             for part in partitions
             for j in range(part.n_intervals)
         )
-        # transform_values' tables: the kept columns, each gene's first and
-        # last item, and its cuts padded to a matrix with +inf.
+        # _item_codes' tables: the kept columns, each gene's first and last
+        # item in the narrowest dtype that holds every item id, and its cuts
+        # padded to a matrix with +inf.
         n_cuts = np.array([len(part.cuts) for part in partitions], dtype=np.int64)
         self._kept = np.array(self.kept_gene_indices(), dtype=np.intp)
-        self._last_item = np.cumsum(n_cuts + 1) - 1
-        self._first_item = self._last_item - n_cuts
+        code = np.min_scalar_type(max(self.n_items - 1, 0))
+        self._last_item = (np.cumsum(n_cuts + 1) - 1).astype(code)
+        self._first_item = (self._last_item - n_cuts).astype(code)
         width = n_cuts.max(initial=0)
         self._cut_matrix = np.full((n_cuts.size, width), np.inf)
         self._cut_matrix[np.arange(width) < n_cuts[:, None]] = [
@@ -661,22 +663,26 @@ class EntropyDiscretizer:
         return values
 
     def transform_values(self, values: np.ndarray) -> List[frozenset]:
-        """Map raw measurement rows to expressed item sets.
+        """Map raw measurement rows to expressed item sets (the query form).
 
-        Vectorized over the batch and the kept genes: a value's interval is
-        the number of its gene's cuts strictly below it, which is
-        ``np.searchsorted(cuts, value, side="left")``, counted one column of
-        the ``+inf``-padded cut matrix at a time.  NaN takes the last
-        interval, where ``searchsorted`` puts it.  Bit-identical to
-        :meth:`_transform_values_scalar` (the per-row reference, kept for the
-        equivalence tests).  Rows must be as wide as the fitted data; any
-        other width raises :class:`DatasetError`.
+        Vectorized over the batch and the kept genes (see
+        :meth:`_item_codes`), then one frozenset per row.  Bit-identical to
+        :meth:`_transform_values_scalar` (the per-row reference, kept for
+        the equivalence tests).  Rows must be as wide as the fitted data;
+        any other width raises :class:`DatasetError`.
         """
-        # Row by row: one list of the whole batch would raise the peak.
+        # Row by row: ``codes.tolist()`` would hold every row's list at once.
         return [frozenset(row.tolist()) for row in self._item_codes(values)]
 
     def _item_codes(self, values: np.ndarray) -> np.ndarray:
-        """The expressed item of every (row, kept gene), as a code array."""
+        """The expressed item of every (row, kept gene), as a code array.
+
+        A value's interval is the number of its gene's cuts strictly below
+        it, which is ``np.searchsorted(cuts, value, side="left")``, counted
+        one column of the ``+inf``-padded cut matrix at a time.  NaN takes
+        the last interval, where ``searchsorted`` puts it.  Codes use the
+        narrowest unsigned dtype that holds every item id.
+        """
         measured = self._fitted_rows(values)[:, self._kept]
         codes = np.where(np.isnan(measured), self._last_item, self._first_item)
         for cuts in self._cut_matrix.T:
@@ -695,15 +701,21 @@ class EntropyDiscretizer:
         return out
 
     def transform(self, data: ExpressionMatrix) -> RelationalDataset:
-        """Discretize a full expression matrix into a relational dataset."""
-        self._require_fitted()
-        samples = self.transform_values(data.values)
-        return RelationalDataset(
-            item_names=self.item_names,
-            class_names=self._class_names,
-            samples=tuple(samples),
-            labels=data.labels,
-            sample_names=data.sample_names,
+        """Discretize a full expression matrix into a relational dataset.
+
+        The item codes are scattered straight into the dataset's bool
+        matrix; no per-row item set is built (the dataset derives
+        ``samples`` only if a reader asks for them).
+        """
+        codes = self._item_codes(data.values)
+        matrix = np.zeros((codes.shape[0], self.n_items), dtype=bool)
+        matrix[np.arange(codes.shape[0])[:, None], codes] = True
+        return RelationalDataset._from_matrix(
+            matrix,
+            self.item_names,
+            self._class_names,
+            data.labels,
+            data.sample_names,
         )
 
     def fit_transform(self, data: ExpressionMatrix) -> RelationalDataset:

@@ -256,7 +256,7 @@ def save_relational_json(data: RelationalDataset, path: PathLike) -> None:
         "item_names": list(data.item_names),
         "class_names": list(data.class_names),
         "labels": list(data.labels),
-        "samples": [sorted(sample) for sample in data.samples],
+        "samples": [np.flatnonzero(row).tolist() for row in data.bool_matrix],
         "sample_names": (
             list(data.sample_names) if data.sample_names is not None else None
         ),
@@ -265,14 +265,17 @@ def save_relational_json(data: RelationalDataset, path: PathLike) -> None:
 
 
 def load_relational_json(path: PathLike) -> RelationalDataset:
-    """Read a dataset written by :func:`save_relational_json`."""
+    """Read a dataset written by :func:`save_relational_json`.
+
+    The item lists are scattered into the dataset's bool matrix in one pass
+    (the :class:`RelationalDataset` constructor); no item set is built."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DatasetError(f"{path}: invalid JSON ({exc})") from exc
     try:
         item_names = tuple(payload["item_names"])
-        samples = tuple(frozenset(s) for s in payload["samples"])
+        samples = list(payload["samples"])
         labels = tuple(payload["labels"])
     except KeyError as exc:
         raise DatasetError(f"{path}: missing field {exc}") from exc

@@ -1,5 +1,9 @@
 """Unit tests for the relational/continuous data models."""
 
+import dataclasses
+import functools
+import pickle
+
 import numpy as np
 import pytest
 
@@ -9,6 +13,11 @@ from repro.datasets.dataset import (
     RelationalDataset,
     running_example,
 )
+from repro.datasets.discretize import EntropyDiscretizer
+from repro.datasets.io import load_relational_json, save_relational_json
+from repro.datasets.profiles import profile
+from repro.datasets.splits import given_training_split
+from repro.datasets.synthetic import generate_expression_data
 
 
 class TestRunningExample:
@@ -88,6 +97,169 @@ class TestSubset:
     def test_support_of_itemset(self, example):
         # g1, g3 -> cancer samples s1, s2 only (the Section 1 example rule).
         assert example.support_of_itemset({0, 2}) == {0, 1}
+
+
+@functools.lru_cache(maxsize=None)
+def _transformed(name):
+    """The discretizer fitted on ``name``'s full-size given-training split
+    (data seed 0), that split's raw rows and their transform."""
+    prof = profile(name)
+    data = generate_expression_data(prof, seed=0)
+    split = given_training_split(data.label_array, prof.given_training, 0)
+    train = data.subset(split.train_indices)
+    disc = EntropyDiscretizer().fit(train)
+    return disc, train, disc.transform(train)
+
+
+def _cold(data):
+    """``data`` rebuilt through the constructor from its item sets."""
+    return RelationalDataset(
+        data.item_names,
+        data.class_names,
+        tuple(frozenset(s) for s in data.samples),
+        data.labels,
+        data.sample_names,
+    )
+
+
+def _assert_same(got, cold):
+    assert got == cold
+    assert got.samples == cold.samples
+    assert got.fingerprint == cold.fingerprint
+    assert hash(got) == hash(cold)
+
+
+class TestMatrixForm:
+    """The bool matrix is the stored form; ``samples`` is derived from it,
+    and every row operation equals a cold construction from item sets."""
+
+    # Recorded while ``samples`` was the stored form: the fingerprint
+    # hashes the matrix, so evaluator cache keys and artifact
+    # fingerprints carry over unchanged.
+    FINGERPRINTS = {
+        "PC": "a48be27894e31c4b86f9333f20cf5682a7c6f67b",
+        "ALL": "da5727521142984b02abb1ec76301fd44bd80bb5",
+    }
+
+    def test_running_example_fingerprint(self, example):
+        assert example.fingerprint == "9e4081cf7453a280732334818e3136b7f6b4cd8a"
+
+    @pytest.mark.parametrize("name", ["PC", "ALL"])
+    def test_transformed_split_fingerprint(self, name):
+        _, _, rel = _transformed(name)
+        assert rel.fingerprint == self.FINGERPRINTS[name]
+
+    @pytest.mark.parametrize("name", ["PC", "ALL"])
+    def test_derived_samples_match_scalar_reference(self, name):
+        disc, train, rel = _transformed(name)
+        assert rel.samples == tuple(disc._transform_values_scalar(train.values))
+        assert rel.samples is rel.samples  # derived once
+        _assert_same(rel, _cold(rel))
+
+    def test_matrix_and_labels_are_read_only(self, example):
+        with pytest.raises(ValueError):
+            example.bool_matrix[0, 0] = False
+        with pytest.raises(ValueError):
+            example.label_array[0] = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            example.labels = ()
+
+    def test_equality_sees_every_field(self, example):
+        flipped = example.bool_matrix.copy()
+        flipped[0, 5] = True
+        assert example != RelationalDataset.from_bool_matrix(
+            flipped, example.labels, example.item_names, example.class_names,
+            example.sample_names,
+        )
+        assert example != RelationalDataset.from_bool_matrix(
+            example.bool_matrix, (1, 0, 0, 1, 1), example.item_names,
+            example.class_names, example.sample_names,
+        )
+        assert example != RelationalDataset.from_bool_matrix(
+            example.bool_matrix, example.labels, example.item_names,
+            example.class_names,
+        )
+        assert len({example, running_example(), _cold(example)}) == 1
+
+    def test_pickle_round_trip(self, example):
+        example.sample_rows  # a cached view travels along
+        loaded = pickle.loads(pickle.dumps(example))
+        _assert_same(loaded, example)
+
+    def test_subset(self, example):
+        sub = example.subset([4, 0, 2])
+        _assert_same(sub, _cold(sub))
+        assert sub.samples == tuple(example.samples[i] for i in (4, 0, 2))
+        _assert_same(example.subset([]), _cold(example.subset([])))
+
+    def test_from_bool_matrix_copies(self, example):
+        matrix = example.bool_matrix.copy()
+        built = RelationalDataset.from_bool_matrix(
+            matrix, example.labels, example.item_names, example.class_names,
+            example.sample_names,
+        )
+        _assert_same(built, example)
+        matrix[:] = False
+        assert built == example
+
+    def test_from_bool_matrix_validates(self, example):
+        with pytest.raises(DatasetError, match="5 samples but 4 labels"):
+            RelationalDataset.from_bool_matrix(example.bool_matrix, (0,) * 4)
+        with pytest.raises(DatasetError, match="unknown class id 2"):
+            RelationalDataset.from_bool_matrix(
+                example.bool_matrix, (0, 1, 2, 1, 0), class_names=("a", "b")
+            )
+        with pytest.raises(DatasetError, match="6 matrix columns but 2 items"):
+            RelationalDataset.from_bool_matrix(
+                example.bool_matrix, example.labels, item_names=("a", "b")
+            )
+
+    def test_constructor_rejects_non_integer_items(self):
+        with pytest.raises(DatasetError, match="integers"):
+            RelationalDataset(("a", "b"), ("x",), ({1.0},), (0,))
+        with pytest.raises(DatasetError, match="collection"):
+            RelationalDataset(("a",), ("x",), (5,), (0,))
+
+    @pytest.mark.parametrize("name", ["running", "PC"])
+    def test_relational_json_round_trip(self, name, tmp_path):
+        data = running_example() if name == "running" else _transformed(name)[2]
+        path = tmp_path / "rel.json"
+        save_relational_json(data, path)
+        loaded = load_relational_json(path)
+        _assert_same(loaded, data)
+        _assert_same(loaded, _cold(data))
+
+    def test_append_samples(self, example):
+        base = example.subset(range(3))
+        grown = base.append_samples(
+            example.samples[3:], example.labels[3:], example.sample_names[3:]
+        )
+        _assert_same(grown, example)
+
+    def test_append_samples_to_transformed_dataset(self):
+        disc, train, rel = _transformed("PC")
+        base = rel.subset(range(90))
+        base.sample_rows, base.item_columns, base.class_bits(0)
+        # The appended rows arrive as the query form, not from the matrix.
+        extra = disc.transform_values(train.values[90:])
+        grown = base.append_samples(
+            extra, rel.labels[90:], rel.sample_names[90:]
+        )
+        _assert_same(grown, rel)
+        cold = _cold(rel)
+        for view in ("sample_rows", "item_columns"):
+            assert view in grown.__dict__  # extended, not rebuilt
+            got, want = getattr(grown, view), getattr(cold, view)
+            assert got.n_cols == want.n_cols
+            assert np.array_equal(got.words, want.words)
+        assert [grown.class_bits(c) for c in range(grown.n_classes)] == [
+            cold.class_bits(c) for c in range(cold.n_classes)
+        ]
+        assert grown.fingerprint == self.FINGERPRINTS["PC"]
+
+    def test_append_samples_rejects_unknown_item(self, example):
+        with pytest.raises(DatasetError, match="sample 6 expresses unknown item 9"):
+            example.append_samples([{0}, {9}], [0, 1])
 
 
 class TestExpressionMatrix:

@@ -103,3 +103,21 @@ class TestRelationalJson:
         )
         with pytest.raises(DatasetError, match="2 samples but 1 labels"):
             load_relational_json(path)
+
+    def test_out_of_range_item_id_rejected(self, tmp_path):
+        path = tmp_path / "range.json"
+        path.write_text(
+            '{"item_names": ["g1", "g2"], "class_names": ["a"],'
+            ' "samples": [[0], [1, 2]], "labels": [0, 0]}'
+        )
+        with pytest.raises(DatasetError, match="sample 1 expresses unknown item 2"):
+            load_relational_json(path)
+
+    def test_non_list_samples_rejected(self, tmp_path):
+        path = tmp_path / "shape.json"
+        path.write_text(
+            '{"item_names": ["g1"], "class_names": ["a"],'
+            ' "samples": [0], "labels": [0]}'
+        )
+        with pytest.raises(DatasetError):
+            load_relational_json(path)
