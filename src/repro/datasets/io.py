@@ -306,3 +306,5 @@ def load_relational_json(path: PathLike) -> RelationalDataset:
         )
     except KeyError as exc:
         raise DatasetError(f"{path}: missing field {exc}") from exc
+    except DatasetError as exc:
+        raise DatasetError(f"{path}: {exc}") from exc

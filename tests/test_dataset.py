@@ -116,7 +116,7 @@ def _cold(data):
     return RelationalDataset(
         data.item_names,
         data.class_names,
-        tuple(frozenset(s) for s in data.samples),
+        data.samples,
         data.labels,
         data.sample_names,
     )

@@ -110,7 +110,9 @@ class TestRelationalJson:
             '{"item_names": ["g1", "g2"], "class_names": ["a"],'
             ' "samples": [[0], [1, 2]], "labels": [0, 0]}'
         )
-        with pytest.raises(DatasetError, match="sample 1 expresses unknown item 2"):
+        with pytest.raises(
+            DatasetError, match=r"range\.json: sample 1 expresses unknown item 2"
+        ):
             load_relational_json(path)
 
     def test_non_list_samples_rejected(self, tmp_path):
