@@ -7,11 +7,14 @@ partitioning).  This module implements it from scratch:
 * per gene, candidate cut points are boundary midpoints of the sorted values;
 * the cut minimizing class-information entropy is accepted iff its gain
   passes the MDL criterion, then both halves recurse;
-* ``EntropyDiscretizer`` fits blocks of genes at once (``_mdlp_block``:
-  one unstable sort per gene row, integer prefix counts, depth-0 scores
-  read from one table per fit and one vectorised MDL test per recursion
-  depth), with the same cut points, to the bit, as the per-gene
-  :func:`mdlp_cut_points`;
+* ``EntropyDiscretizer`` fits many genes at once in two stages, with the
+  same cut points, to the bit, as the per-gene :func:`mdlp_cut_points`:
+  stage 1 (``_mdlp_block``) takes column blocks (one unstable sort per
+  gene row, integer prefix counts, depth-0 scores and one vectorised MDL
+  test) and keeps the genes whose depth-0 cut is accepted; stage 2
+  (``_deeper_cuts``) runs every deeper depth once per batch of kept genes
+  gathered across blocks.  Every entropy either stage needs is read from
+  one table per fit (``_depth_zero``);
 * genes with no accepted cut carry no class information and are dropped —
   Table 3's "Genes After Discretization" column counts the survivors;
 * every ``(gene, interval)`` pair becomes a boolean item; a sample expresses
@@ -25,7 +28,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -41,11 +53,12 @@ def class_entropy(counts: np.ndarray) -> float:
     return float(-(probs * np.log2(probs)).sum())
 
 
-# Genes fitted together by one pass of :func:`_mdlp_block`.  A pass holds
-# O(n_samples × _GENE_BLOCK) float64s (the transposed block, its sort and
-# the depth-0 scores) and n_classes − 1 times as many int16 prefix counts,
-# which bounds the fit's peak memory whatever the gene count; the fit's
-# depth-0 table (_depth_zero) is never larger than those scores.
+# Genes fitted together by one pass of :func:`_mdlp_block`, and the most
+# kept genes one pass of :func:`_deeper_cuts` takes.  A pass holds
+# O(n_samples × _GENE_BLOCK) values (the sorted block, its depth-0 keys and
+# score ranks, and n_classes − 1 rows of int16 prefix counts), which bounds
+# the fit's peak memory whatever the gene count; the fit's table
+# (_depth_zero) is never larger than one block's depth-0 keys.
 _GENE_BLOCK = 512
 
 
@@ -177,19 +190,6 @@ def mdlp_cut_points(
     return sorted(cuts)
 
 
-def _parent_entropies(
-    total: np.ndarray, cache: Dict[Tuple[int, ...], float]
-) -> np.ndarray:
-    """:func:`class_entropy` of every column of the class counts ``total``,
-    computed once per distinct count vector and kept in ``cache``."""
-    entropies = []
-    for counts in map(tuple, total.T.tolist()):
-        if counts not in cache:
-            cache[counts] = class_entropy(np.asarray(counts, dtype=np.float64))
-        entropies.append(cache[counts])
-    return np.array(entropies)
-
-
 def _mdl_accepts_all(
     size: np.ndarray,
     parent: np.ndarray,
@@ -225,16 +225,25 @@ def _class_rows(head: np.ndarray, size) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _DepthZero:
-    """What every gene of one fit shares at depth 0.
+    """What every gene of one fit shares at depth 0, and the fit's table
+    of entropies.
 
-    There each gene's range is its whole column, so all genes have the
-    class totals ``totals``, the parent entropy ``parent``, and a cut
+    At depth 0 each gene's range is its whole column, so all genes have
+    the class totals ``totals``, the parent entropy ``parent``, and a cut
     whose scores depend only on its left class-count vector ``l``: one
     point of the box ``0 <= l[c] <= totals[c]``.  ``weighted``,
     ``e_left`` and ``e_right`` hold the scores of every point of the box
-    at ``Σ_c l[c] · strides[c]``, or are None when the box has more points
-    than one block's dense score array, ``(n − 1) · _GENE_BLOCK``; blocks
-    then score every (gene, position) pair densely.
+    at ``Σ_c l[c] · strides[c]`` (:meth:`keys`), and ``rank`` the rank of
+    each ``weighted`` among them (equal scores share one).  All are None
+    when the box has more points than one block's dense score array,
+    ``(n − 1) · _GENE_BLOCK``; blocks then score every (gene, position)
+    pair densely.
+
+    ``e_left[key(v)]`` is ``_side_entropy(v, Σ v)`` for every point ``v``
+    of the box, and the class counts of every range the recursion visits
+    at any depth, and of either side of its cuts, lie in that box: the
+    deeper depths read every entropy from it (:meth:`entropies`), or
+    compute it when there is no table.
     """
 
     totals: np.ndarray
@@ -243,6 +252,30 @@ class _DepthZero:
     weighted: Optional[np.ndarray]
     e_left: Optional[np.ndarray]
     e_right: Optional[np.ndarray]
+    rank: Optional[np.ndarray]
+
+    def keys(self, head: np.ndarray, size) -> np.ndarray:
+        """Table index ``Σ_c v[c] · strides[c]`` of the count vectors ``v``
+        holding ``size`` samples whose every class but the last counts
+        ``head`` (class axis first).
+
+        The last class's count is ``size − Σ head``, so its stride (1)
+        folds into ``size`` and every other class's into ``stride − 1``.
+        """
+        key = np.multiply(head[0], self.strides[0] - 1)
+        key += size
+        for counts, stride in zip(head[1:], self.strides[1:-1]):
+            key += counts * (stride - 1)
+        return key
+
+    def entropies(self, head: np.ndarray, size: np.ndarray) -> np.ndarray:
+        """:func:`_side_entropy` of the count vectors of :meth:`keys`: one
+        gather from the table, or computed when the fit has none."""
+        if self.e_left is None:
+            return _side_entropy(
+                _class_rows(head, size), size.astype(np.float64)
+            )
+        return self.e_left[self.keys(head, size)]
 
     def best_cuts(
         self, prefix: np.ndarray, distinct: np.ndarray
@@ -250,8 +283,8 @@ class _DepthZero:
         """``(gene, pos, weighted, e_left, e_right)``: the first minimum of
         every gene's whole row that has a candidate, with its scores."""
         n = prefix.shape[2] - 1
-        position = np.arange(1, n)
         if self.weighted is None:
+            position = np.arange(1, n)
             left = _class_rows(prefix[:, :, 1:n], position)
             n_left = position.astype(np.float64)
             n_right = n - n_left
@@ -261,17 +294,14 @@ class _DepthZero:
             e_right = _side_entropy(right, n_right)
             del right
             weighted = (n_left * e_left + n_right * e_right) / n
+            order, worst = weighted, np.inf
         else:
-            # The last class's count is position − Σ others, so its stride
-            # (1) folds into the position and every other class's into
-            # ``stride − 1``.
-            key = np.broadcast_to(position, distinct.shape).copy()
-            for counts, stride in zip(prefix[:, :, 1:n], self.strides[:-1]):
-                key += counts * (stride - 1)
-            weighted = self.weighted[key]
-        weighted[~distinct] = np.inf
+            position = np.broadcast_to(np.arange(1, n), distinct.shape)
+            key = self.keys(prefix[:, :, 1:n], position)
+            order, worst = self.rank[key], self.rank.size
+        order[~distinct] = worst
         gene = np.flatnonzero(distinct.any(axis=1))
-        at = weighted.argmin(axis=1)[gene]  # first minimum, as in _best_cut
+        at = order.argmin(axis=1)[gene]  # first minimum, as in _best_cut
         if self.weighted is None:
             scores = weighted[gene, at], e_left[gene, at], e_right[gene, at]
         else:
@@ -280,11 +310,7 @@ class _DepthZero:
         return (gene, at + 1, *scores)
 
 
-def _depth_zero(
-    labels: np.ndarray,
-    n_classes: int,
-    entropies: Dict[Tuple[int, ...], float],
-) -> _DepthZero:
+def _depth_zero(labels: np.ndarray, n_classes: int) -> _DepthZero:
     """The :class:`_DepthZero` of a fit on ``labels``, built once per fit.
 
     Each table entry is scored by :func:`_side_entropy` and the weighted
@@ -293,10 +319,10 @@ def _depth_zero(
     """
     n = labels.size
     totals = np.bincount(labels, minlength=n_classes)
-    parent = float(_parent_entropies(totals[:, None], entropies)[0])
+    parent = class_entropy(totals)
     box = totals + 1
     if math.prod(box.tolist()) > (n - 1) * _GENE_BLOCK:
-        return _DepthZero(totals, parent, None, None, None, None)
+        return _DepthZero(totals, parent, None, None, None, None, None)
     left = np.indices(box).reshape(n_classes, -1)
     n_left = left.sum(axis=0).astype(np.float64)
     n_right = n - n_left
@@ -305,7 +331,11 @@ def _depth_zero(
     weighted = (n_left * e_left + n_right * e_right) / n
     # C-order strides of np.indices' box: the last class's is 1.
     strides = np.append(np.cumprod(box[:0:-1])[::-1], 1)
-    return _DepthZero(totals, parent, strides, weighted, e_left, e_right)
+    # Equal scores share a rank, so the first minimum of the ranks is the
+    # first minimum of the scores.
+    rank = np.unique(weighted, return_inverse=True)[1]
+    rank = rank.astype(np.min_scalar_type(rank.size))
+    return _DepthZero(totals, parent, strides, weighted, e_left, e_right, rank)
 
 
 def _best_range_cuts(
@@ -314,12 +344,16 @@ def _best_range_cuts(
     gene: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
+    depth_zero: _DepthZero,
 ) -> Tuple[np.ndarray, ...]:
     """Best cut of every sorted range ``[lo, hi)`` of ``gene``, in one flat
     pass over all (range, candidate position) pairs.
 
-    Returns ``(gene, lo, hi, pos, weighted, e_left, e_right)`` for the ranges
-    that have a candidate, with the scores taken at ``pos``.
+    Every entropy (each side of every pair, and each range's parent) is
+    read from the fit's table, or computed when it has none
+    (:meth:`_DepthZero.entropies`); no ``log2`` is taken per pair.  Returns
+    ``(gene, lo, hi, pos, parent, weighted, e_left, e_right)`` for the
+    ranges that have a candidate, with the scores taken at ``pos``.
     """
     n_heads, _, stride = prefix.shape
     width = hi - lo - 1
@@ -331,18 +365,17 @@ def _best_range_cuts(
 
     # Range counts are prefix differences, gathered from the flat prefix.
     counts = prefix.reshape(n_heads, -1)
-    row = gene[seg] * stride
-    base = counts[:, row + lo[seg]]
-    head = counts[:, row + pos] - base
-    size = (hi - lo)[seg]
+    row = gene * stride
+    base = counts[:, row + lo]
+    total = counts[:, row + hi] - base
+    size = hi - lo
+    parent = depth_zero.entropies(total, size)
+    head = counts[:, row[seg] + pos] - base[:, seg]
     in_left = pos - lo[seg]
-    left = _class_rows(head, in_left)
-    right = _class_rows(counts[:, row + hi[seg]] - base - head, size - in_left)
-    n_left = in_left.astype(np.float64)
-    n_right = size - n_left
-    e_left = _side_entropy(left, n_left)
-    e_right = _side_entropy(right, n_right)
-    weighted = (n_left * e_left + n_right * e_right) / size
+    in_right = size[seg] - in_left
+    e_left = depth_zero.entropies(head, in_left)
+    e_right = depth_zero.entropies(total[:, seg] - head, in_right)
+    weighted = (in_left * e_left + in_right * e_right) / size[seg]
 
     # First minimum per range, as np.argmin takes in _best_cut: the
     # lowest candidate position whose score equals the range's minimum.
@@ -358,25 +391,83 @@ def _best_range_cuts(
         lo[ranges],
         hi[ranges],
         pos[best],
+        parent[ranges],
         weighted[best],
         e_left[best],
         e_right[best],
     )
 
 
+def _accepted(
+    prefix: np.ndarray,
+    gene: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    pos: np.ndarray,
+    scores: Sequence[np.ndarray],
+) -> np.ndarray:
+    """:func:`_mdl_accepts_all` of the cut ``pos`` of every range
+    ``[lo, hi)`` of ``gene``, with ``scores`` = ``(parent, weighted,
+    e_left, e_right)`` and the class counts read from ``prefix``."""
+    base = prefix[:, gene, lo]
+    total = _class_rows(prefix[:, gene, hi] - base, hi - lo)
+    left = _class_rows(prefix[:, gene, pos] - base, pos - lo)
+    return _mdl_accepts_all(
+        hi - lo,
+        *scores,
+        (total > 0).sum(axis=0),
+        (left > 0).sum(axis=0),
+        (total - left > 0).sum(axis=0),
+    )
+
+
+class _Kept(NamedTuple):
+    """The genes of a block whose depth-0 cut passed the MDL test, with
+    what the deeper depths read of them; gene axis first (``prefix``'s
+    second).
+
+    ``genes`` are column indices in the fit, ``pos``/``threshold`` the
+    depth-0 cut, ``prefix``/``distinct``/``ordered`` the rows of the
+    block's prefix counts, candidate mask and sorted values.
+    """
+
+    genes: np.ndarray
+    pos: np.ndarray
+    threshold: np.ndarray
+    prefix: np.ndarray
+    distinct: np.ndarray
+    ordered: np.ndarray
+
+    def take(self, rows) -> "_Kept":
+        return _Kept(
+            *(a[:, rows] if a.ndim == 3 else a[rows] for a in self)
+        )
+
+    @staticmethod
+    def join(parts: Sequence["_Kept"]) -> "_Kept":
+        return _Kept(
+            *(
+                np.concatenate(field, axis=1 if field[0].ndim == 3 else 0)
+                for field in zip(*parts)
+            )
+        )
+
+
 def _mdlp_block(
     values: np.ndarray,
     labels: np.ndarray,
     depth_zero: _DepthZero,
-    entropies: Dict[Tuple[int, ...], float],
-) -> List[Tuple[int, Tuple[float, ...]]]:
-    """``(column, cuts)`` for every column of ``values`` (samples × genes)
-    with at least one MDLP cut; ``cuts`` ascend and equal
-    :func:`mdlp_cut_points` of the column.
+    first_gene: int,
+) -> _Kept:
+    """Stage 1 of the batched MDLP: the genes of ``values`` (samples ×
+    genes, columns ``first_gene`` onwards) with an accepted depth-0 cut.
 
-    ``depth_zero`` (:func:`_depth_zero` of ``labels``) and ``entropies``,
-    the parent entropy of each class-count vector, are built once per fit
-    and serve every block of it.
+    ``labels`` are the class ids in the narrowest unsigned dtype, of at
+    least two samples and two classes (a fit with fewer has no cut), and
+    ``depth_zero`` (:func:`_depth_zero` of them) is built once per fit and
+    serves every block of it.  The deeper depths run later, on batches of
+    kept genes gathered across blocks (:func:`_deeper_cuts`); together
+    they give every column the cuts of :func:`mdlp_cut_points`.
 
     Every range the recursion visits is a contiguous slice of the column's
     sort order: a cut falls only between *distinct* neighbours, and NaNs
@@ -387,21 +478,18 @@ def _mdlp_block(
     not depend on the order inside a tie.  The block is therefore
     transposed to gene rows, sorted once per row, and each range's class
     counts are differences of one integer prefix-count array.  The sorted
-    values come from ``np.sort``: they equal the argsort's up to the sign
-    of a zero, which neither the candidates nor the thresholds see.  Depth 0
-    reads every (gene, position) score from the fit's table (or scores
-    densely, :meth:`_DepthZero.best_cuts`); each deeper depth is one flat
-    pass over the surviving ranges, and the MDL test of every range's best
-    cut is one vectorised pass (:func:`_mdl_accepts_all`).
+    values are the rows sorted in place: they equal the argsort's up to
+    the sign of a zero, which neither the candidates nor the thresholds
+    see.  Depth 0 reads every (gene, position) score from the fit's table
+    (or scores densely, :meth:`_DepthZero.best_cuts`), and the MDL test
+    of every gene's best cut is one vectorised pass
+    (:func:`_mdl_accepts_all`).
     """
     n, n_genes = values.shape
     n_classes = depth_zero.totals.size
-    # One class (or one sample) has no cut: every entropy is 0, no gain.
-    if n < 2 or n_classes < 2:
-        return []
-    rows = np.ascontiguousarray(values.T)
+    rows = np.array(values.T, order="C")
     ranked = labels[np.argsort(rows, axis=1)]
-    ordered = np.sort(rows, axis=1)
+    rows.sort(axis=1)
     # prefix[c, g, i] = class-c count of the first i sorted samples of gene
     # g, for every class but the last (_class_rows derives it).
     prefix = np.zeros(
@@ -412,54 +500,70 @@ def _mdlp_block(
         np.cumsum(ranked == c, axis=1, dtype=prefix.dtype, out=prefix[c, :, 1:])
     del ranked
     # distinct[g, i]: a cut may fall before sorted position i + 1 of gene g.
-    distinct = ordered[:, 1:] > ordered[:, :-1]
+    distinct = rows[:, 1:] > rows[:, :-1]
 
     gene, pos, *scores = depth_zero.best_cuts(prefix, distinct)
-    lo = np.zeros(gene.size, dtype=np.intp)
-    hi = np.full(gene.size, n, dtype=np.intp)
-    # Every depth-0 range is a whole column, with one parent entropy.
-    parent = np.full(gene.size, depth_zero.parent)
+    if gene.size:
+        lo = np.zeros(gene.size, dtype=np.intp)
+        hi = np.full(gene.size, n, dtype=np.intp)
+        # Every depth-0 range is a whole column, with one parent entropy.
+        parent = np.full(gene.size, depth_zero.parent)
+        keep = _accepted(prefix, gene, lo, hi, pos, (parent, *scores))
+        gene, pos = gene[keep], pos[keep]
+    return _Kept(
+        gene + first_gene,
+        pos,
+        _cut_threshold(rows[gene, pos - 1], rows[gene, pos]),
+        prefix[:, gene],
+        distinct[gene],
+        rows[gene],
+    )
 
-    cut_genes, thresholds = [], []
+
+def _deeper_cuts(
+    batch: _Kept, depth_zero: _DepthZero
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Stage 2 of the batched MDLP: ``(row, threshold)`` of every cut of
+    the genes of ``batch``, ``row`` indexing them: the depth-0 cuts stage 1
+    found, then those of every deeper depth.
+
+    Each depth is one flat pass over all (range, candidate) pairs
+    (:func:`_best_range_cuts`) and one vectorised MDL test.  A pass is cut
+    into chunks of whole ranges holding about ``n · _GENE_BLOCK / 8``
+    pairs, so that its per-pair arrays stay within one block's worth of
+    float64s whatever the batch holds.
+    """
+    prefix, distinct, ordered = batch.prefix, batch.distinct, batch.ordered
+    n = ordered.shape[1]
+    budget = max(n * _GENE_BLOCK // 8, n)
+    rows = np.arange(batch.genes.size)
+    gene = np.concatenate([rows, rows])
+    lo = np.concatenate([np.zeros_like(batch.pos), batch.pos])
+    hi = np.concatenate([batch.pos, np.full_like(batch.pos, n)])
+    cut_rows, thresholds = [rows], [batch.threshold]
     while gene.size:
-        base = prefix[:, gene, lo]
-        total = _class_rows(prefix[:, gene, hi] - base, hi - lo)
-        left = _class_rows(prefix[:, gene, pos] - base, pos - lo)
-        if parent is None:
-            parent = _parent_entropies(total, entropies)
-        keep = _mdl_accepts_all(
-            hi - lo,
-            parent,
-            *scores,
-            (total > 0).sum(axis=0),
-            (left > 0).sum(axis=0),
-            (total - left > 0).sum(axis=0),
-        )
+        # Ranges whose pairs start in the same multiple of ``budget``.
+        starts = np.cumsum(hi - lo - 1) - (hi - lo - 1)
+        chunk = np.flatnonzero(np.diff(starts // budget, prepend=-1))
+        found = [
+            _best_range_cuts(
+                prefix, distinct, gene[s], lo[s], hi[s], depth_zero
+            )
+            for s in map(slice, chunk, [*chunk[1:], None])
+        ]
+        gene, lo, hi, pos, *scores = map(np.concatenate, zip(*found))
+        if not gene.size:
+            break
+        keep = _accepted(prefix, gene, lo, hi, pos, scores)
         gene, lo, hi, pos = gene[keep], lo[keep], hi[keep], pos[keep]
-        cut_genes.append(gene)
+        cut_rows.append(gene)
         thresholds.append(
             _cut_threshold(ordered[gene, pos - 1], ordered[gene, pos])
         )
         # Both halves of every accepted range recurse at the next depth.
-        gene, lo, hi, pos, *scores = _best_range_cuts(
-            prefix,
-            distinct,
-            np.concatenate([gene, gene]),
-            np.concatenate([lo, pos]),
-            np.concatenate([pos, hi]),
-        )
-        parent = None
-    if not cut_genes:
-        return []
-    gene = np.concatenate(cut_genes)
-    threshold = np.concatenate(thresholds)
-    by_gene = np.lexsort((threshold, gene))
-    gene, threshold = gene[by_gene], threshold[by_gene]
-    first = np.flatnonzero(np.diff(gene, prepend=-1))
-    return [
-        (j, tuple(cuts.tolist()))
-        for j, cuts in zip(gene[first].tolist(), np.split(threshold, first[1:]))
-    ]
+        gene = np.concatenate([gene, gene])
+        lo, hi = np.concatenate([lo, pos]), np.concatenate([pos, hi])
+    return np.concatenate(cut_rows), np.concatenate(thresholds)
 
 
 @dataclass(frozen=True)
@@ -490,22 +594,68 @@ class GenePartition:
         return f"{self.gene_name}@({lo},{hi}]"
 
 
-def _fit_columns(
-    columns: np.ndarray,
-    first_gene: int,
-    gene_names: Sequence[str],
-    labels: np.ndarray,
-    depth_zero: _DepthZero,
-    entropies: Dict[Tuple[int, ...], float],
+def _batch_partitions(
+    batch: _Kept, depth_zero: _DepthZero, gene_names: Sequence[str]
 ) -> List[GenePartition]:
-    """Partitions of the kept genes among ``columns`` (genes ``first_gene``
-    onwards), fitted :data:`_GENE_BLOCK` genes per kernel pass."""
+    """The partition of every gene of ``batch``, its cuts ascending."""
+    rows, thresholds = _deeper_cuts(batch, depth_zero)
+    cuts = thresholds[np.lexsort((thresholds, rows))].tolist()
+    ends = np.cumsum(np.bincount(rows)).tolist()
+    return [
+        GenePartition(j, gene_names[j], tuple(cuts[start:end]))
+        for j, start, end in zip(batch.genes.tolist(), [0, *ends], ends)
+    ]
+
+
+def _fit_partitions(
+    blocks: Iterable[Tuple[int, np.ndarray]],
+    labels: np.ndarray,
+    n_classes: int,
+    gene_names: Sequence[str],
+    width: int,
+) -> List[GenePartition]:
+    """Partitions of the kept genes of ``blocks``, ``(first gene, samples ×
+    genes columns)`` pairs in gene order.
+
+    Stage 1 (:func:`_mdlp_block`) runs on every :data:`_GENE_BLOCK`
+    columns.  Stage 2 (:func:`_deeper_cuts`) runs once per batch of
+    ``width`` genes that stage 1 kept, gathered across blocks in gene
+    order (the last batch smaller); only the genes of the batch being
+    formed wait between the two.
+    """
+    depth_zero = _depth_zero(labels, n_classes)
+    codes = labels.astype(np.min_scalar_type(max(n_classes - 1, 0)))
+    # One class (or one sample) has no cut: every entropy is 0, no gain.
+    cuttable = labels.size >= 2 and n_classes >= 2
     partitions: List[GenePartition] = []
-    for start in range(0, columns.shape[1], _GENE_BLOCK):
-        block = columns[:, start : start + _GENE_BLOCK]
-        for offset, cuts in _mdlp_block(block, labels, depth_zero, entropies):
-            j = first_gene + start + offset
-            partitions.append(GenePartition(j, gene_names[j], cuts))
+    pending: List[_Kept] = []
+    count = 0
+
+    def run(parts: List[_Kept]) -> None:
+        batch = _Kept.join(parts)
+        parts.clear()  # the batch holds their genes now
+        partitions.extend(_batch_partitions(batch, depth_zero, gene_names))
+
+    for first, columns in blocks:
+        starts = range(0, columns.shape[1], _GENE_BLOCK) if cuttable else ()
+        for start in starts:
+            part = _mdlp_block(
+                columns[:, start : start + _GENE_BLOCK],
+                codes,
+                depth_zero,
+                first + start,
+            )
+            pending.append(part)
+            count += part.genes.size
+            while count >= width:
+                # The last part's genes past ``width`` wait for the next batch.
+                split = part.genes.size - (count - width)
+                pending[-1] = part.take(slice(None, split))
+                part = part.take(slice(split, None))
+                run(pending)
+                pending, count = [part], part.genes.size
+    if count:
+        run(pending)
     return partitions
 
 
@@ -540,15 +690,12 @@ class EntropyDiscretizer:
 
     def fit(self, data: ExpressionMatrix) -> "EntropyDiscretizer":
         """Learn cut points per gene from labeled training measurements."""
-        labels = data.label_array
-        entropies: Dict[Tuple[int, ...], float] = {}
-        partitions = _fit_columns(
-            data.values,
-            0,
+        partitions = _fit_partitions(
+            [(0, data.values)],
+            data.label_array,
+            data.n_classes,
             data.gene_names,
-            labels,
-            _depth_zero(labels, data.n_classes, entropies),
-            entropies,
+            _GENE_BLOCK,
         )
         return self._finish_fit(partitions, data.class_names, data.n_genes)
 
@@ -566,7 +713,8 @@ class EntropyDiscretizer:
         never materialized: peak memory is O(n_samples × gene_block +
         chunk_rows × n_genes).  Cut points are **bit-identical** to
         :meth:`fit` on the concatenated matrix: each gene's column is
-        reassembled exactly and run through the same block kernel.
+        reassembled exactly and run through the same kernel, whose deeper
+        depths take batches of at most ``gene_block`` kept genes.
 
         Chunks must share gene names, and each chunk's class vocabulary must
         be a prefix-consistent extension of the previous one (what
@@ -593,28 +741,28 @@ class EntropyDiscretizer:
         if gene_names is None:
             raise DatasetError("empty chunk stream: nothing to fit")
         labels = np.concatenate(label_parts)
-        n_classes = len(class_names)
         n_genes = len(gene_names)
 
-        # Gene-block passes: reassemble a few full columns at a time and run
-        # the in-memory block kernel on them.
-        partitions: List[GenePartition] = []
-        entropies: Dict[Tuple[int, ...], float] = {}
-        depth_zero = _depth_zero(labels, n_classes, entropies)
-        for start in range(0, n_genes, gene_block):
-            stop = min(start + gene_block, n_genes)
-            columns = np.concatenate(
-                [chunk.values[:, start:stop] for chunk in chunks()], axis=0
-            )
-            if columns.shape[0] != labels.size:
-                raise DatasetError(
-                    "chunk stream changed size between passes"
+        def blocks() -> Iterator[Tuple[int, np.ndarray]]:
+            # Reassemble a few full columns at a time.
+            for start in range(0, n_genes, gene_block):
+                stop = min(start + gene_block, n_genes)
+                columns = np.concatenate(
+                    [chunk.values[:, start:stop] for chunk in chunks()], axis=0
                 )
-            partitions.extend(
-                _fit_columns(
-                    columns, start, gene_names, labels, depth_zero, entropies
-                )
-            )
+                if columns.shape[0] != labels.size:
+                    raise DatasetError(
+                        "chunk stream changed size between passes"
+                    )
+                yield start, columns
+
+        partitions = _fit_partitions(
+            blocks(),
+            labels,
+            len(class_names),
+            gene_names,
+            min(gene_block, _GENE_BLOCK),
+        )
         return self._finish_fit(partitions, class_names, n_genes)
 
     def _finish_fit(
@@ -705,8 +853,12 @@ class EntropyDiscretizer:
 
         The item codes are scattered straight into the dataset's bool
         matrix; no per-row item set is built (the dataset derives
-        ``samples`` only if a reader asks for them).
+        ``samples`` only if a reader asks for them).  Labels are mapped by
+        class name into the fitted vocabulary, so ``data`` may number its
+        classes in another order; a row of a class the fit never saw raises
+        :class:`DatasetError`.
         """
+        labels = self._fitted_labels(data)
         codes = self._item_codes(data.values)
         matrix = np.zeros((codes.shape[0], self.n_items), dtype=bool)
         matrix[np.arange(codes.shape[0])[:, None], codes] = True
@@ -714,9 +866,25 @@ class EntropyDiscretizer:
             matrix,
             self.item_names,
             self._class_names,
-            data.labels,
+            labels,
             data.sample_names,
         )
+
+    def _fitted_labels(self, data: ExpressionMatrix) -> Sequence[int]:
+        """``data``'s labels as ids of the fitted class vocabulary."""
+        self._require_fitted()
+        if data.class_names == self._class_names:
+            return data.labels
+        fitted = {name: c for c, name in enumerate(self._class_names)}
+        used = [data.class_names[c] for c in np.unique(data.label_array)]
+        unseen = [name for name in used if name not in fitted]
+        if unseen:
+            raise DatasetError(
+                f"classes {unseen} were not seen by the fit (its classes "
+                f"are {list(self._class_names)})"
+            )
+        ids = np.array([fitted.get(name, -1) for name in data.class_names])
+        return ids[data.label_array]
 
     def fit_transform(self, data: ExpressionMatrix) -> RelationalDataset:
         return self.fit(data).transform(data)

@@ -159,6 +159,54 @@ class TestEntropyDiscretizer:
         assert rel.labels == tuple(labels)
         assert rel.class_names == ("a", "b")
 
+    def test_labels_mapped_by_class_name(self):
+        # The same rows with their classes numbered the other way round
+        # keep their class names through transform.
+        rng = np.random.default_rng(7)
+        labels = [0] * 3 + [1] * 3
+        values = np.concatenate([rng.normal(0, 0.1, 3), rng.normal(5, 0.1, 3)])
+        fitted = ExpressionMatrix(
+            gene_names=("g0",),
+            values=values[:, None],
+            labels=tuple(labels),
+            class_names=("lo", "hi"),
+        )
+        disc = EntropyDiscretizer().fit(fitted)
+        swapped = ExpressionMatrix(
+            gene_names=("g0",),
+            values=values[:, None],
+            labels=tuple(1 - c for c in labels),
+            class_names=("hi", "lo"),
+        )
+        rel = disc.transform(swapped)
+        assert rel.class_names == ("lo", "hi")
+        assert [rel.class_names[c] for c in rel.labels] == ["lo"] * 3 + ["hi"] * 3
+        assert rel == disc.transform(fitted)
+
+    def test_transform_rejects_unseen_class(self):
+        rng = np.random.default_rng(8)
+        labels = [0] * 4 + [1] * 4
+        col = np.concatenate([rng.normal(0, 0.5, 4), rng.normal(4, 0.5, 4)])
+        disc = EntropyDiscretizer().fit(_matrix(col[:, None], labels))
+        other = ExpressionMatrix(
+            gene_names=("g0",),
+            values=col[:, None],
+            labels=tuple([0] * 4 + [2] * 4),
+            class_names=("a", "b", "mid"),
+        )
+        with pytest.raises(DatasetError, match="mid"):
+            disc.transform(other)
+        # A class of the vocabulary that labels no row is not an error.
+        unused = ExpressionMatrix(
+            gene_names=("g0",),
+            values=col[:, None],
+            labels=tuple(labels),
+            class_names=("a", "b", "mid"),
+        )
+        assert disc.transform(unused) == disc.transform(
+            _matrix(col[:, None], labels)
+        )
+
     def test_item_names_carry_gene_and_interval(self):
         rng = np.random.default_rng(6)
         labels = [0] * 10 + [1] * 10
@@ -309,8 +357,8 @@ class TestBlockKernelMatchesPerGene:
 
 
 class TestGeneMajorKernel:
-    """The kernel's unstable sort, integer prefix counts, vectorised MDL
-    test and per-fit entropy cache."""
+    """The kernel's unstable sort, integer prefix counts and vectorised MDL
+    test."""
 
     def test_mixed_class_tie_groups_across_three_blocks(self, monkeypatch):
         # Values rounded to a handful of levels make every tie group hold
@@ -369,23 +417,6 @@ class TestGeneMajorKernel:
         assert got.tolist() == expected
         assert 0 < got.sum() < got.size
 
-    def test_parent_entropies_shared_across_blocks(self, monkeypatch):
-        monkeypatch.setattr(discretize, "_GENE_BLOCK", 8)
-        seen = []
-        real = discretize.class_entropy
-
-        def counting(counts):
-            seen.append(tuple(counts.tolist()))
-            return real(counts)
-
-        monkeypatch.setattr(discretize, "class_entropy", counting)
-        rng = np.random.default_rng(31)
-        labels = np.repeat([0, 1], 20)
-        values = np.round(rng.normal(size=(40, 64)) + labels[:, None], 1)
-        _block_cuts(values, labels, 2)
-        # Identical columns in different blocks share parent count vectors.
-        assert len(seen) == len(set(seen)) > 0
-
 
 @functools.lru_cache(maxsize=None)
 def _given_training(name):
@@ -405,7 +436,7 @@ class TestDepthZeroTable:
         train = _given_training(name)
         labels, k = train.label_array, train.n_classes
         n = labels.size
-        table = discretize._depth_zero(labels, k, {})
+        table = discretize._depth_zero(labels, k)
         assert table.weighted is not None
         # Dense scores of every (gene, position) of one block, from class
         # counts taken per column with a stable sort.
@@ -429,6 +460,25 @@ class TestDepthZeroTable:
         ]:
             assert np.array_equal(got.view(np.int64), dense.view(np.int64))
 
+    @pytest.mark.parametrize("name", ["PC", "ALL", "LEUK3", "absent"])
+    def test_table_entropies_equal_class_entropy(self, name):
+        # The deeper depths read every parent entropy from the table, so
+        # each non-empty point must hold class_entropy's bits, as the
+        # per-gene _best_cut computes it.
+        if name == "absent":
+            labels = np.random.default_rng(59).choice([0, 2], 70)
+            k = 3
+        else:
+            train = _given_training(name)
+            labels, k = train.label_array, train.n_classes
+        table = discretize._depth_zero(labels, k)
+        assert table.e_left is not None
+        points = np.indices(table.totals + 1).reshape(k, -1)
+        points = points[:, points.sum(axis=0) > 0]
+        expected = np.array([class_entropy(v) for v in points.T])
+        got = table.e_left[np.tensordot(table.strides, points, axes=1)]
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
     def test_forced_fallback_matches_per_gene(self):
         # 4 classes of 15: a box of 16**4 points, more than 59 * 512.
         rng = np.random.default_rng(43)
@@ -438,7 +488,7 @@ class TestDepthZeroTable:
             rng.normal(0, 1, (60, 30)) + labels[:, None] * shift, 1
         )
         values[rng.random(values.shape) < 0.05] = np.nan
-        assert discretize._depth_zero(labels, 4, {}).weighted is None
+        assert discretize._depth_zero(labels, 4).weighted is None
         cuts = _block_cuts(values, labels, 4)
         assert sum(map(len, cuts)) > 10
         assert cuts == _per_gene_cuts(values, labels, 4)
@@ -474,7 +524,7 @@ class TestDepthZeroTable:
         values = np.round(
             rng.normal(0, 1, (50, 25)) + labels[:, None] * shift, 1
         )
-        table = discretize._depth_zero(labels, 3, {})
+        table = discretize._depth_zero(labels, 3)
         assert table.totals[absent] == 0 and table.weighted is not None
         cuts = _block_cuts(values, labels, 3)
         assert sum(map(len, cuts)) > 5
@@ -506,35 +556,36 @@ class TestDepthZeroTable:
         assert streamed.partitions == cold.partitions
 
     def test_depth_zero_scoring_does_not_grow_with_genes(self, monkeypatch):
-        # Count the class-count vectors scored outside the deeper depths.
-        scored = []
-        deeper = []
-        real_side, real_range = (
+        # With a table every entropy of the fit is scored while the table
+        # is built: no class-count vector is scored per gene, at depth 0 or
+        # below, so the vectors scored do not grow with the genes.
+        scored, outside, building = [], [], []
+        real_side, real_table = (
             discretize._side_entropy,
-            discretize._best_range_cuts,
+            discretize._depth_zero,
         )
 
         def side(counts, sizes):
-            if not deeper:
-                scored.append(counts[0].size)
+            (scored if building else outside).append(counts[0].size)
             return real_side(counts, sizes)
 
-        def ranges(*args):
-            deeper.append(True)
+        def table(*args):
+            building.append(True)
             try:
-                return real_range(*args)
+                return real_table(*args)
             finally:
-                deeper.pop()
+                building.pop()
 
         monkeypatch.setattr(discretize, "_side_entropy", side)
-        monkeypatch.setattr(discretize, "_best_range_cuts", ranges)
+        monkeypatch.setattr(discretize, "_depth_zero", table)
         train = _given_training("PC")
-        EntropyDiscretizer().fit(train)
+        assert EntropyDiscretizer().fit(train).n_kept_genes > 0
         once = sum(scored)
         scored.clear()
         doubled = np.concatenate([train.values, train.values], axis=1)
         EntropyDiscretizer().fit(_classed(doubled, train.label_array, 2))
         assert sum(scored) == once > 0
+        assert outside == []
 
     def test_fit_peak_memory(self):
         train = _given_training("PC")
@@ -544,7 +595,7 @@ class TestDepthZeroTable:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.6 * 2**20
+        assert peak <= 2.0 * 2**20
 
     def test_transform_and_classifier_fit_peak_memory(self):
         # The transform scatters item codes into the dataset's bool matrix
@@ -566,6 +617,69 @@ class TestDepthZeroTable:
             clear_evaluator_cache()
         assert "samples" not in rel.__dict__
         assert peak <= 3.0 * 2**20
+
+
+def _record_batches(monkeypatch):
+    """Patch stage 2 to record the width of every batch it runs on."""
+    widths = []
+    real = discretize._deeper_cuts
+
+    def recording(batch, depth_zero):
+        widths.append(batch.genes.size)
+        return real(batch, depth_zero)
+
+    monkeypatch.setattr(discretize, "_deeper_cuts", recording)
+    return widths
+
+
+class TestTwoStages:
+    """Depth 0 per column block, the deeper depths per batch of kept genes
+    gathered across blocks: wall-clock-free pins of the batch structure."""
+
+    def test_pc_runs_one_deeper_pass_per_batch(self, monkeypatch):
+        widths = _record_batches(monkeypatch)
+        train = _given_training("PC")
+        kept = EntropyDiscretizer().fit(train).n_kept_genes
+        blocks = math.ceil(train.n_genes / discretize._GENE_BLOCK)
+        assert len(widths) == math.ceil(kept / discretize._GENE_BLOCK)
+        assert len(widths) < blocks == 25
+        assert sum(widths) == kept
+        assert widths[:-1] == [discretize._GENE_BLOCK] * (len(widths) - 1)
+
+    def test_streaming_batches_stay_within_gene_block(self, monkeypatch):
+        widths = _record_batches(monkeypatch)
+        train = _given_training("PC")
+        data = _classed(train.values[:, :600], train.label_array, 2)
+        cold = EntropyDiscretizer().fit(data)
+        assert widths == [cold.n_kept_genes]
+        widths.clear()
+        chunks = [
+            data.subset(range(i, min(i + 25, data.n_samples)))
+            for i in range(0, data.n_samples, 25)
+        ]
+        streamed = EntropyDiscretizer().fit_streaming(
+            lambda: iter(chunks), gene_block=8
+        )
+        assert max(widths) <= 8 and sum(widths) == cold.n_kept_genes
+        assert streamed.partitions == cold.partitions
+        assert streamed.item_names == cold.item_names
+
+    def test_pairs_chunked_within_a_depth(self, monkeypatch):
+        # A depth's (range, candidate) pairs run in chunks of about
+        # n · _GENE_BLOCK / 8 pairs, so one batch's ranges span passes.
+        passes = []
+        real = discretize._best_range_cuts
+
+        def recording(prefix, distinct, gene, lo, hi, depth_zero):
+            passes.append(int((hi - lo - 1).sum()))
+            return real(prefix, distinct, gene, lo, hi, depth_zero)
+
+        monkeypatch.setattr(discretize, "_best_range_cuts", recording)
+        train = _given_training("PC")
+        EntropyDiscretizer().fit(train)
+        budget = train.n_samples * discretize._GENE_BLOCK // 8
+        assert sum(passes) > 4 * budget
+        assert max(passes) <= budget + train.n_samples
 
 
 class TestRecordedCuts:
