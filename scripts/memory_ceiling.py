@@ -6,8 +6,9 @@ The script writes a tall synthetic expression TSV (streamed row by row —
 the full matrix is never held while generating), then:
 
 1. caps the process's address space at *current usage + headroom* via
-   ``RLIMIT_AS``, sized so the whole-file parse (a Python list-of-lists
-   costs ~5x the final float64 array) cannot fit;
+   ``RLIMIT_AS``.  The default headroom (64 MB) is below the size of the
+   final float64 array alone (82 MB for 40,000 x 256), so no whole-file
+   loader can fit, however lean its parse;
 2. streams the file through ``iter_expression_tsv`` under that cap,
    folding a per-gene running sum — this must succeed;
 3. re-executes itself in a subprocess with the same cap and runs the
@@ -21,7 +22,7 @@ with a note so the CI job is a no-op on exotic runners.
 Usage::
 
     python scripts/memory_ceiling.py [--rows 40000] [--genes 256]
-                                     [--headroom-mb 256] [--chunk-rows 256]
+                                     [--headroom-mb 64] [--chunk-rows 256]
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rows", type=int, default=40000)
     parser.add_argument("--genes", type=int, default=256)
-    parser.add_argument("--headroom-mb", type=int, default=256)
+    parser.add_argument("--headroom-mb", type=int, default=64)
     parser.add_argument("--chunk-rows", type=int, default=256)
     parser.add_argument("--seed", type=int, default=97)
     parser.add_argument(

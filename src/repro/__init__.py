@@ -14,151 +14,91 @@ Quickstart::
     dataset = running_example()
     clf = BSTClassifier().fit(dataset)
     clf.predict({0, 3, 4})   # -> 0 (Cancer), the paper's Section 5.4 query
+
+Names resolve lazily (:mod:`repro._lazy`): ``import repro`` or any
+``repro.<module>`` imports only what is used.
 """
 
-from .bst.mining import mine_mcmcbar, mine_mcmcbar_per_sample
-from .bst.row_bar import StructuredBAR, all_gene_row_bars, gene_row_bar
-from .bst.table import BST, BSTCell, ExclusionList, build_all_bsts
-from .core.artifact import (
-    ArtifactCorrupt,
-    ArtifactError,
-    ArtifactStale,
-    DatasetSummary,
-    load_artifact,
-    save_artifact,
-)
-from .core.bstce import bstce, bstce_detail
-from .core.classifier import BSTClassifier, NotFittedError
-from .core.explain import Explanation, explain_classification
-from .serving import (
-    CircuitOpen,
-    DeadlineExceeded,
-    GatewayServer,
-    ModelInfo,
-    ModelNotFound,
-    ModelRegistry,
-    NotSupportedError,
-    PredictionService,
-    QueryError,
-    QuotaExceeded,
-    RegistryHealth,
-    ServeConfig,
-    ServiceClosed,
-    ServiceError,
-    ServiceHealth,
-    ServiceOverloaded,
-)
-from .datasets.dataset import (
-    DatasetError,
-    ExpressionMatrix,
-    RelationalDataset,
-    running_example,
-)
-from .datasets.discretize import EntropyDiscretizer, mdlp_cut_points
-from .datasets.profiles import (
-    MULTICLASS_PROFILE,
-    PAPER_PROFILES,
-    DatasetProfile,
-    profile,
-    scaled,
-)
-from .datasets.synthetic import generate_expression_data
-from .errors import (
-    CandidateBudgetExceeded,
-    CorruptResult,
-    JournalError,
-    ReproError,
-    ResourceExhausted,
-    RuleBudgetExceeded,
-    TaskTimeout,
-    WorkerCrashed,
-    WorkerError,
-)
-from .evaluation.journal import ResultJournal
-from .evaluation.resilience import RetryPolicy, supervised_map
-from .evaluation.timing import Budget, BudgetExceeded
-from .experiments.base import ExperimentConfig, ExperimentResult
-from .testing.faults import FaultPlan, FaultSpec
-from .experiments.registry import experiment_ids, run_experiment
-from .rules.bar import BAR
-from .rules.car import CAR
-from .rules.groups import RuleGroup, closure_of_rows, find_lower_bounds
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ArtifactCorrupt",
-    "ArtifactError",
-    "ArtifactStale",
-    "BAR",
-    "BST",
-    "BSTCell",
-    "BSTClassifier",
-    "Budget",
-    "BudgetExceeded",
-    "CAR",
-    "CandidateBudgetExceeded",
-    "CircuitOpen",
-    "CorruptResult",
-    "DatasetError",
-    "DatasetProfile",
-    "DatasetSummary",
-    "DeadlineExceeded",
-    "EntropyDiscretizer",
-    "ExclusionList",
-    "Explanation",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "ExpressionMatrix",
-    "FaultPlan",
-    "FaultSpec",
-    "GatewayServer",
-    "JournalError",
-    "MULTICLASS_PROFILE",
-    "ModelInfo",
-    "ModelNotFound",
-    "ModelRegistry",
-    "NotFittedError",
-    "NotSupportedError",
-    "PAPER_PROFILES",
-    "PredictionService",
-    "QueryError",
-    "QuotaExceeded",
-    "RegistryHealth",
-    "RelationalDataset",
-    "ReproError",
-    "ResourceExhausted",
-    "ResultJournal",
-    "RetryPolicy",
-    "RuleBudgetExceeded",
-    "RuleGroup",
-    "ServeConfig",
-    "ServiceClosed",
-    "ServiceError",
-    "ServiceHealth",
-    "ServiceOverloaded",
-    "StructuredBAR",
-    "TaskTimeout",
-    "WorkerCrashed",
-    "WorkerError",
-    "all_gene_row_bars",
-    "bstce",
-    "bstce_detail",
-    "build_all_bsts",
-    "closure_of_rows",
-    "experiment_ids",
-    "explain_classification",
-    "find_lower_bounds",
-    "gene_row_bar",
-    "generate_expression_data",
-    "load_artifact",
-    "mdlp_cut_points",
-    "mine_mcmcbar",
-    "mine_mcmcbar_per_sample",
-    "profile",
-    "run_experiment",
-    "running_example",
-    "save_artifact",
-    "scaled",
-    "supervised_map",
-]
+_EXPORTS = {
+    "mine_mcmcbar": ".bst.mining",
+    "mine_mcmcbar_per_sample": ".bst.mining",
+    "StructuredBAR": ".bst.row_bar",
+    "all_gene_row_bars": ".bst.row_bar",
+    "gene_row_bar": ".bst.row_bar",
+    "BST": ".bst.table",
+    "BSTCell": ".bst.table",
+    "ExclusionList": ".bst.table",
+    "build_all_bsts": ".bst.table",
+    "ArtifactCorrupt": ".core.artifact",
+    "ArtifactError": ".core.artifact",
+    "ArtifactStale": ".core.artifact",
+    "DatasetSummary": ".core.artifact",
+    "load_artifact": ".core.artifact",
+    "save_artifact": ".core.artifact",
+    "bstce": ".core.bstce",
+    "bstce_detail": ".core.bstce",
+    "BSTClassifier": ".core.classifier",
+    "NotFittedError": ".core.classifier",
+    "Explanation": ".core.explain",
+    "explain_classification": ".core.explain",
+    "DatasetError": ".datasets.dataset",
+    "ExpressionMatrix": ".datasets.dataset",
+    "RelationalDataset": ".datasets.dataset",
+    "running_example": ".datasets.dataset",
+    "EntropyDiscretizer": ".datasets.discretize",
+    "mdlp_cut_points": ".datasets.discretize",
+    "DatasetProfile": ".datasets.profiles",
+    "MULTICLASS_PROFILE": ".datasets.profiles",
+    "PAPER_PROFILES": ".datasets.profiles",
+    "profile": ".datasets.profiles",
+    "scaled": ".datasets.profiles",
+    "generate_expression_data": ".datasets.synthetic",
+    "CandidateBudgetExceeded": ".errors",
+    "CorruptResult": ".errors",
+    "JournalError": ".errors",
+    "ReproError": ".errors",
+    "ResourceExhausted": ".errors",
+    "RuleBudgetExceeded": ".errors",
+    "TaskTimeout": ".errors",
+    "WorkerCrashed": ".errors",
+    "WorkerError": ".errors",
+    "ResultJournal": ".evaluation.journal",
+    "RetryPolicy": ".evaluation.resilience",
+    "supervised_map": ".evaluation.resilience",
+    "Budget": ".evaluation.timing",
+    "BudgetExceeded": ".evaluation.timing",
+    "ExperimentConfig": ".experiments.base",
+    "ExperimentResult": ".experiments.base",
+    "experiment_ids": ".experiments.registry",
+    "run_experiment": ".experiments.registry",
+    "BAR": ".rules.bar",
+    "CAR": ".rules.car",
+    "RuleGroup": ".rules.groups",
+    "closure_of_rows": ".rules.groups",
+    "find_lower_bounds": ".rules.groups",
+    "CircuitOpen": ".serving",
+    "DeadlineExceeded": ".serving",
+    "GatewayServer": ".serving",
+    "ModelInfo": ".serving",
+    "ModelNotFound": ".serving",
+    "ModelRegistry": ".serving",
+    "NotSupportedError": ".serving",
+    "PredictionService": ".serving",
+    "QueryError": ".serving",
+    "QuotaExceeded": ".serving",
+    "RegistryHealth": ".serving",
+    "ServeConfig": ".serving",
+    "ServiceClosed": ".serving",
+    "ServiceError": ".serving",
+    "ServiceHealth": ".serving",
+    "ServiceOverloaded": ".serving",
+    "FaultPlan": ".testing.faults",
+    "FaultSpec": ".testing.faults",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

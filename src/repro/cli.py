@@ -35,7 +35,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import Any, List, Optional
+from typing import TYPE_CHECKING, Any, List, Optional
 
 from .core.arithmetization import COMBINERS
 from .core.bitset import flush_kernel_counters
@@ -43,9 +43,10 @@ from .core.estimator import ENGINES
 from .core.fast import evaluator_cache_info, set_evaluator_cache_size
 from .errors import ReproError
 from .evaluation.timing import engine_counters
-from .experiments.base import ExperimentConfig
-from .experiments.registry import experiment_ids, run_experiment
 from .serving.surface import EXIT_ERROR, exit_code
+
+if TYPE_CHECKING:  # pragma: no cover - static analysis only
+    from .experiments.base import ExperimentConfig
 
 #: The serving subcommands (one per HTTP verb, plus refresh and replay);
 #: these share the surface's exit-code mapping and print the counter dump.
@@ -629,6 +630,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+    from .experiments.base import ExperimentConfig
+
     return ExperimentConfig(
         scale="full" if args.full else "scaled",
         n_tests=args.tests,
@@ -1191,6 +1194,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         argv = sys.argv[1:]
     args = _build_parser().parse_args(argv)
     if args.command == "list":
+        from .experiments.registry import experiment_ids
+
         for experiment_id in experiment_ids():
             print(experiment_id)
         return 0
@@ -1229,6 +1234,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    from .experiments.registry import experiment_ids, run_experiment
+
     ids = experiment_ids() if args.experiment == "all" else [args.experiment]
     engine_counters.reset()
     for experiment_id in ids:

@@ -9,61 +9,48 @@ kernel.  Eager imports here would close that loop — lazy resolution keeps
 
 from typing import TYPE_CHECKING
 
+from .._lazy import lazy_exports
+
 _EXPORTS = {
-    "COMBINERS": "arithmetization",
-    "classification_confidence": "arithmetization",
-    "get_combiner": "arithmetization",
-    "BitMatrix": "bitset",
-    "BitSet": "bitset",
-    "flush_kernel_counters": "bitset",
-    "kernel_stats_snapshot": "bitset",
-    "bstce": "bstce",
-    "bstce_detail": "bstce",
-    "BSTClassifier": "classifier",
-    "ENGINES": "estimator",
-    "Estimator": "estimator",
-    "NotFittedError": "estimator",
-    "resolve_engine": "estimator",
-    "CellRuleEvidence": "explain",
-    "Explanation": "explain",
-    "explain_classification": "explain",
-    "EvaluationPlan": "plan",
-    "PlanClass": "plan",
-    "compile_plan": "plan",
-    "plan_from_arena": "plan",
-    "FastBSTCEvaluator": "fast",
-    "clear_evaluator_cache": "fast",
-    "evaluator_cache_info": "fast",
-    "get_evaluator": "fast",
-    "register_evaluator": "fast",
-    "set_evaluator_cache_size": "fast",
-    "ARTIFACT_FORMAT_VERSION": "artifact",
-    "ArtifactError": "artifact",
-    "DatasetSummary": "artifact",
-    "load_artifact": "artifact",
-    "save_artifact": "artifact",
-    "AutoBSTClassifier": "auto",
-    "MCBARClassifier": "mcbar_classifier",
-    "rule_satisfaction": "mcbar_classifier",
+    "COMBINERS": ".arithmetization",
+    "classification_confidence": ".arithmetization",
+    "get_combiner": ".arithmetization",
+    "BitMatrix": ".bitset",
+    "BitSet": ".bitset",
+    "flush_kernel_counters": ".bitset",
+    "kernel_stats_snapshot": ".bitset",
+    "bstce": ".bstce",
+    "bstce_detail": ".bstce",
+    "BSTClassifier": ".classifier",
+    "ENGINES": ".estimator",
+    "Estimator": ".estimator",
+    "NotFittedError": ".estimator",
+    "resolve_engine": ".estimator",
+    "CellRuleEvidence": ".explain",
+    "Explanation": ".explain",
+    "explain_classification": ".explain",
+    "EvaluationPlan": ".plan",
+    "PlanClass": ".plan",
+    "compile_plan": ".plan",
+    "plan_from_arena": ".plan",
+    "FastBSTCEvaluator": ".fast",
+    "clear_evaluator_cache": ".fast",
+    "evaluator_cache_info": ".fast",
+    "get_evaluator": ".fast",
+    "register_evaluator": ".fast",
+    "set_evaluator_cache_size": ".fast",
+    "ARTIFACT_FORMAT_VERSION": ".artifact",
+    "ArtifactError": ".artifact",
+    "DatasetSummary": ".artifact",
+    "load_artifact": ".artifact",
+    "save_artifact": ".artifact",
+    "AutoBSTClassifier": ".auto",
+    "MCBARClassifier": ".mcbar_classifier",
+    "rule_satisfaction": ".mcbar_classifier",
 }
 
 __all__ = sorted(_EXPORTS)
-
-
-def __getattr__(name):
-    module_name = _EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-
-    module = import_module(f".{module_name}", __name__)
-    value = getattr(module, name)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(__all__))
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
 
 
 if TYPE_CHECKING:  # pragma: no cover - static analysis only

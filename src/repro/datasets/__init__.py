@@ -1,37 +1,39 @@
-"""Microarray data models, discretization, synthesis, splits and I/O."""
+"""Microarray data models, discretization, synthesis, splits and I/O.
 
-from .dataset import DatasetError, ExpressionMatrix, RelationalDataset, running_example
-from .discretize import EntropyDiscretizer, GenePartition, mdlp_cut_points
-from .io import (
-    DEFAULT_CHUNK_ROWS,
-    concat_expression_chunks,
-    iter_expression_tsv,
-    load_expression_tsv,
-    save_expression_tsv,
-)
-from .profiles import MULTICLASS_PROFILE, PAPER_PROFILES, DatasetProfile, profile, scaled
-from .splits import TrainTestSplit, count_split, fraction_split, given_training_split
-from .synthetic import generate_expression_data
+Names resolve lazily (:mod:`repro._lazy`): reading a TSV does not import
+the discretizer, and a served query imports neither."""
 
-__all__ = [
-    "DatasetError", "ExpressionMatrix", "RelationalDataset", "running_example",
-    "EntropyDiscretizer", "GenePartition", "mdlp_cut_points",
-    "DEFAULT_CHUNK_ROWS", "concat_expression_chunks", "iter_expression_tsv",
-    "load_expression_tsv", "save_expression_tsv",
-    "DatasetProfile", "PAPER_PROFILES", "MULTICLASS_PROFILE", "profile", "scaled",
-    "TrainTestSplit", "count_split", "fraction_split", "given_training_split",
-    "generate_expression_data",
-]
+from .._lazy import lazy_exports
 
-from .preprocess import (
-    PreprocessingPipeline,
-    floor_and_log2,
-    impute_missing,
-    quantile_normalize,
-    variance_filter,
-)
+_EXPORTS = {
+    "DatasetError": ".dataset",
+    "ExpressionMatrix": ".dataset",
+    "RelationalDataset": ".dataset",
+    "running_example": ".dataset",
+    "EntropyDiscretizer": ".discretize",
+    "GenePartition": ".discretize",
+    "mdlp_cut_points": ".discretize",
+    "DEFAULT_CHUNK_ROWS": ".io",
+    "concat_expression_chunks": ".io",
+    "iter_expression_tsv": ".io",
+    "load_expression_tsv": ".io",
+    "save_expression_tsv": ".io",
+    "PreprocessingPipeline": ".preprocess",
+    "floor_and_log2": ".preprocess",
+    "impute_missing": ".preprocess",
+    "quantile_normalize": ".preprocess",
+    "variance_filter": ".preprocess",
+    "DatasetProfile": ".profiles",
+    "MULTICLASS_PROFILE": ".profiles",
+    "PAPER_PROFILES": ".profiles",
+    "profile": ".profiles",
+    "scaled": ".profiles",
+    "TrainTestSplit": ".splits",
+    "count_split": ".splits",
+    "fraction_split": ".splits",
+    "given_training_split": ".splits",
+    "generate_expression_data": ".synthetic",
+}
 
-__all__ += [
-    "PreprocessingPipeline", "floor_and_log2", "impute_missing",
-    "quantile_normalize", "variance_filter",
-]
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

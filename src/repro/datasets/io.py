@@ -8,16 +8,20 @@ Two simple, inspectable formats:
 * ``RelationalDataset`` ↔ JSON: explicit item/class vocabularies plus the
   expressed-item lists, for exchanging discretized data.
 
-The TSV reader comes in three shapes sharing one parsing core (so every
-malformed-input path raises the *same* :class:`DatasetError` message):
+The TSV reader comes in two shapes sharing one parsing core,
+:func:`_parse_tsv_block`, so every malformed-input path raises the *same*
+:class:`DatasetError` message:
 
-* :func:`load_expression_tsv` — the whole file as one matrix; pass
-  ``chunk_rows`` to bound peak memory on tall profiles (rows accumulate as
-  packed float64 blocks instead of one giant list-of-lists).
+* :func:`load_expression_tsv` — the whole file as one matrix, read as
+  packed float64 blocks of ``chunk_rows`` rows and joined.
 * :func:`iter_expression_tsv` — a generator of fixed-size row blocks, the
   streaming entry point (see docs/STREAMING.md).  Each yielded chunk carries
   the *cumulative* class vocabulary, so labels are directly comparable
   across chunks and :func:`concat_expression_chunks` is lossless.
+
+A block's values are parsed in one ``np.loadtxt`` call; the per-value
+:func:`_parse_tsv_row` is the reference and runs only on a block that call
+refuses, to raise the error or accept what Python's ``float`` accepts.
 """
 
 from __future__ import annotations
@@ -25,8 +29,9 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
+from itertools import islice
 from pathlib import Path
-from typing import Iterator, List, Optional, Sequence, TextIO, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, TextIO, Tuple, Union
 
 import numpy as np
 
@@ -34,9 +39,9 @@ from .dataset import DatasetError, ExpressionMatrix, RelationalDataset
 
 PathLike = Union[str, Path]
 
-#: Default block height for the chunked/streaming TSV readers.  Peak parse
-#: memory is O(chunk_rows * n_genes); 256 rows keeps even a 10k-gene profile
-#: under ~20 MB per block while amortizing per-chunk overhead.
+#: Default block height for the TSV readers.  Peak parse memory is
+#: O(chunk_rows * n_genes); 256 rows keeps even a 10k-gene profile under
+#: ~20 MB per block while amortizing per-chunk overhead.
 DEFAULT_CHUNK_ROWS = 256
 
 
@@ -96,6 +101,50 @@ def _parse_tsv_row(
     return parts[0], parts[1], row
 
 
+def _parse_tsv_block(
+    path: Path, first_line_no: int, lines: List[str], gene_names: Tuple[str, ...]
+) -> Tuple[List[str], List[str], np.ndarray]:
+    """Parse a block of data lines into ``(sample_names, class_names, values)``.
+
+    ``lines[k]`` is file line ``first_line_no + k``.  The framing is checked
+    in Python (one tab count per line), then all values are parsed in one C
+    pass by ``np.loadtxt``.  ``loadtxt`` alone would skip a blank line and
+    ``usecols`` would drop extra fields, hence the explicit count; and
+    ``comments=None`` keeps ``1.0#x`` an error rather than ``1.0``.  If any
+    line is misframed, ``loadtxt`` refuses a token or returns another shape,
+    or a value is not finite, the block is re-parsed by
+    :func:`_parse_tsv_row`, which raises the first error in line order or
+    returns the values of tokens that Python's ``float`` accepts and numpy's
+    parser does not (``1_000``, non-ASCII digits).  Accepted inputs, values
+    and messages are therefore exactly the row parser's.
+    """
+    n_genes = len(gene_names)
+    values = None
+    if all(line.count("\t") == n_genes + 1 for line in lines):
+        try:
+            values = np.loadtxt(
+                lines,
+                dtype=np.float64,
+                delimiter="\t",
+                usecols=range(2, n_genes + 2),
+                comments=None,
+                quotechar=None,
+                ndmin=2,
+            )
+        except ValueError:
+            pass
+    if (
+        values is None
+        or values.shape != (len(lines), n_genes)
+        or not np.isfinite(values).all()
+    ):
+        values = np.empty((len(lines), n_genes), dtype=np.float64)
+        for k, line in enumerate(lines):
+            values[k] = _parse_tsv_row(path, first_line_no + k, line, gene_names)[2]
+    heads = [line.split("\t", 2) for line in lines]
+    return [h[0] for h in heads], [h[1] for h in heads], values
+
+
 def iter_expression_tsv(
     path: PathLike, chunk_rows: int = DEFAULT_CHUNK_ROWS
 ) -> Iterator[ExpressionMatrix]:
@@ -116,43 +165,27 @@ def iter_expression_tsv(
         raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
     with path.open("r", encoding="utf-8") as handle:
         gene_names = _parse_tsv_header(path, handle)
-        class_names: List[str] = []
-        class_index = {}
-        sample_names: List[str] = []
-        labels: List[int] = []
-        rows: List[List[float]] = []
-
-        def flush() -> ExpressionMatrix:
-            chunk = ExpressionMatrix(
+        class_index: Dict[str, int] = {}
+        line_no = 2
+        while True:
+            lines = list(islice(handle, chunk_rows))
+            if not lines:
+                return
+            sample_names, label_names, values = _parse_tsv_block(
+                path, line_no, lines, gene_names
+            )
+            line_no += len(lines)
+            labels = tuple(
+                class_index.setdefault(name, len(class_index))
+                for name in label_names
+            )
+            yield ExpressionMatrix(
                 gene_names=gene_names,
-                values=np.asarray(rows, dtype=np.float64).reshape(
-                    len(rows), len(gene_names)
-                ),
-                labels=tuple(labels),
-                class_names=tuple(class_names),
+                values=values,
+                labels=labels,
+                class_names=tuple(class_index),
                 sample_names=tuple(sample_names),
             )
-            sample_names.clear()
-            labels.clear()
-            rows.clear()
-            return chunk
-
-        for line_no, line in enumerate(handle, start=2):
-            name, label_name, row = _parse_tsv_row(
-                path, line_no, line, gene_names
-            )
-            label = class_index.get(label_name)
-            if label is None:
-                label = len(class_names)
-                class_index[label_name] = label
-                class_names.append(label_name)
-            sample_names.append(name)
-            labels.append(label)
-            rows.append(row)
-            if len(rows) >= chunk_rows:
-                yield flush()
-        if rows:
-            yield flush()
 
 
 def concat_expression_chunks(
@@ -204,50 +237,31 @@ def load_expression_tsv(
 ) -> ExpressionMatrix:
     """Read an expression matrix written by :func:`save_expression_tsv`.
 
-    With ``chunk_rows`` set, rows are parsed in blocks of that height and
-    packed into float64 arrays as they go, bounding peak memory on tall
-    profiles (a Python list-of-lists costs ~5× the final array; blocks cost
-    one block plus the final array).  The result is bit-identical to the
-    whole-file path either way.
+    Rows are parsed in blocks of ``chunk_rows`` (default
+    :data:`DEFAULT_CHUNK_ROWS`), each packed straight into a float64 array
+    by :func:`_parse_tsv_block`, so peak memory is the blocks plus the final
+    array.  The result is bit-identical for every block height.
     """
     path = Path(path)
-    if chunk_rows is not None:
-        chunks = list(iter_expression_tsv(path, chunk_rows))
-        if not chunks:
-            # Header-only file: reproduce the whole-file loader's error
-            # (a 1-D empty value array fails matrix validation).
-            with path.open("r", encoding="utf-8") as handle:
-                gene_names = _parse_tsv_header(path, handle)
-            return ExpressionMatrix(
-                gene_names=gene_names,
-                values=np.asarray([], dtype=np.float64),
-                labels=(),
-                class_names=(),
-                sample_names=(),
-            )
-        return concat_expression_chunks(chunks)
-    with path.open("r", encoding="utf-8") as handle:
-        gene_names = _parse_tsv_header(path, handle)
-        sample_names: List[str] = []
-        class_names: List[str] = []
-        labels: List[int] = []
-        rows: List[List[float]] = []
-        for line_no, line in enumerate(handle, start=2):
-            name, label_name, row = _parse_tsv_row(
-                path, line_no, line, gene_names
-            )
-            sample_names.append(name)
-            if label_name not in class_names:
-                class_names.append(label_name)
-            labels.append(class_names.index(label_name))
-            rows.append(row)
-    return ExpressionMatrix(
-        gene_names=gene_names,
-        values=np.asarray(rows, dtype=np.float64),
-        labels=tuple(labels),
-        class_names=tuple(class_names),
-        sample_names=tuple(sample_names),
+    chunks = list(
+        iter_expression_tsv(
+            path, DEFAULT_CHUNK_ROWS if chunk_rows is None else chunk_rows
+        )
     )
+    if not chunks:
+        # Header-only file: a 1-D empty value array fails matrix validation.
+        with path.open("r", encoding="utf-8") as handle:
+            gene_names = _parse_tsv_header(path, handle)
+        return ExpressionMatrix(
+            gene_names=gene_names,
+            values=np.asarray([], dtype=np.float64),
+            labels=(),
+            class_names=(),
+            sample_names=(),
+        )
+    if len(chunks) == 1:
+        return chunks[0]
+    return concat_expression_chunks(chunks)
 
 
 def save_relational_json(data: RelationalDataset, path: PathLike) -> None:

@@ -1,43 +1,41 @@
 """Evaluation machinery: metrics, boxplots, budgets, the CV harness, the
-supervised worker pool and the checkpoint journal."""
+supervised worker pool and the checkpoint journal.
 
-from .boxplot import BoxplotStats, boxplot_stats
-from .crossval import (
-    CVTest,
-    PhaseRecord,
-    StudyResult,
-    TestResult,
-    TrainingSize,
-    derive_seed,
-    make_test,
-    paper_training_sizes,
-)
-from .journal import ResultJournal, result_from_dict, result_to_dict
-from .latency import LatencyHistogram
-from .metrics import accuracy, confusion_matrix, error_direction, mean_accuracy
-from .resilience import (
-    RetryPolicy,
-    TaskOutcome,
-    multiprocessing_available,
-    supervised_map,
-)
-from .timing import (
-    Budget,
-    BudgetExceeded,
-    ResourceExhausted,
-    TimedOutcome,
-    run_with_budget,
-    timed,
-)
+Names resolve lazily (:mod:`repro._lazy`), so the serving layer's use of
+:mod:`~repro.evaluation.timing` does not import the CV harness."""
 
-__all__ = [
-    "accuracy", "confusion_matrix", "error_direction", "mean_accuracy",
-    "BoxplotStats", "boxplot_stats", "Budget", "BudgetExceeded",
-    "ResourceExhausted", "TimedOutcome", "run_with_budget", "timed",
-    "TrainingSize", "CVTest", "PhaseRecord", "TestResult", "StudyResult",
-    "make_test", "paper_training_sizes", "derive_seed",
-    "ResultJournal", "result_to_dict", "result_from_dict",
-    "LatencyHistogram",
-    "RetryPolicy", "TaskOutcome", "supervised_map",
-    "multiprocessing_available",
-]
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    "BoxplotStats": ".boxplot",
+    "boxplot_stats": ".boxplot",
+    "CVTest": ".crossval",
+    "PhaseRecord": ".crossval",
+    "StudyResult": ".crossval",
+    "TestResult": ".crossval",
+    "TrainingSize": ".crossval",
+    "derive_seed": ".crossval",
+    "make_test": ".crossval",
+    "paper_training_sizes": ".crossval",
+    "ResultJournal": ".journal",
+    "result_from_dict": ".journal",
+    "result_to_dict": ".journal",
+    "LatencyHistogram": ".latency",
+    "accuracy": ".metrics",
+    "confusion_matrix": ".metrics",
+    "error_direction": ".metrics",
+    "mean_accuracy": ".metrics",
+    "RetryPolicy": ".resilience",
+    "TaskOutcome": ".resilience",
+    "multiprocessing_available": ".resilience",
+    "supervised_map": ".resilience",
+    "Budget": ".timing",
+    "BudgetExceeded": ".timing",
+    "ResourceExhausted": ".timing",
+    "TimedOutcome": ".timing",
+    "run_with_budget": ".timing",
+    "timed": ".timing",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

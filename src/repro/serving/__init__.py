@@ -27,90 +27,53 @@ maps every serving exception onto its HTTP status and CLI exit code.
 
 See ``docs/SERVING.md`` for the artifact format and service internals and
 ``docs/GATEWAY.md`` for the gateway API, tenancy, and swap semantics.
+
+Names resolve lazily (:mod:`repro._lazy`): ``repro.cli serve`` imports the
+gateway's modules, not the supervisor's or the fitting stack.
 """
 
-from ..errors import (
-    AdminAuthError,
-    AdminDisabled,
-    AdminError,
-    ModelNotFound,
-    NotSupportedError,
-    QuotaExceeded,
-    RequestTimeout,
-    RequestTooLarge,
-    RestartBudgetExhausted,
-    SupervisorError,
-)
-from .config import ServeConfig
-from .http import GatewayServer
-from .registry import ModelInfo, ModelRegistry, RegistryHealth
-from .service import (
-    CircuitOpen,
-    DeadlineExceeded,
-    PredictionService,
-    QueryError,
-    ServiceClosed,
-    ServiceError,
-    ServiceHealth,
-    ServiceOverloaded,
-)
-from .supervisor import (
-    GatewaySupervisor,
-    STATE_SCHEMA,
-    gateway_env,
-    read_state_file,
-    serve_command,
-    write_state_file,
-)
-from .surface import (
-    ERROR_SURFACE,
-    EXIT_CORRUPT,
-    EXIT_ERROR,
-    EXIT_OVERLOAD,
-    EXIT_STALE,
-    EXIT_SUPERVISOR,
-    error_body,
-    exit_code,
-    http_status,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AdminAuthError",
-    "AdminDisabled",
-    "AdminError",
-    "CircuitOpen",
-    "DeadlineExceeded",
-    "ERROR_SURFACE",
-    "EXIT_CORRUPT",
-    "EXIT_ERROR",
-    "EXIT_OVERLOAD",
-    "EXIT_STALE",
-    "EXIT_SUPERVISOR",
-    "GatewayServer",
-    "GatewaySupervisor",
-    "ModelInfo",
-    "ModelNotFound",
-    "ModelRegistry",
-    "NotSupportedError",
-    "PredictionService",
-    "QueryError",
-    "QuotaExceeded",
-    "RegistryHealth",
-    "RequestTimeout",
-    "RequestTooLarge",
-    "RestartBudgetExhausted",
-    "STATE_SCHEMA",
-    "ServeConfig",
-    "ServiceClosed",
-    "ServiceError",
-    "ServiceHealth",
-    "ServiceOverloaded",
-    "SupervisorError",
-    "error_body",
-    "exit_code",
-    "gateway_env",
-    "http_status",
-    "read_state_file",
-    "serve_command",
-    "write_state_file",
-]
+_EXPORTS = {
+    "AdminAuthError": "..errors",
+    "AdminDisabled": "..errors",
+    "AdminError": "..errors",
+    "ModelNotFound": "..errors",
+    "NotSupportedError": "..errors",
+    "QuotaExceeded": "..errors",
+    "RequestTimeout": "..errors",
+    "RequestTooLarge": "..errors",
+    "RestartBudgetExhausted": "..errors",
+    "SupervisorError": "..errors",
+    "ServeConfig": ".config",
+    "GatewayServer": ".http",
+    "ModelInfo": ".registry",
+    "ModelRegistry": ".registry",
+    "RegistryHealth": ".registry",
+    "CircuitOpen": ".service",
+    "DeadlineExceeded": ".service",
+    "PredictionService": ".service",
+    "QueryError": ".service",
+    "ServiceClosed": ".service",
+    "ServiceError": ".service",
+    "ServiceHealth": ".service",
+    "ServiceOverloaded": ".service",
+    "GatewaySupervisor": ".supervisor",
+    "STATE_SCHEMA": ".supervisor",
+    "gateway_env": ".supervisor",
+    "read_state_file": ".supervisor",
+    "serve_command": ".supervisor",
+    "write_state_file": ".supervisor",
+    "ERROR_SURFACE": ".surface",
+    "EXIT_CORRUPT": ".surface",
+    "EXIT_ERROR": ".surface",
+    "EXIT_OVERLOAD": ".surface",
+    "EXIT_STALE": ".surface",
+    "EXIT_SUPERVISOR": ".surface",
+    "error_body": ".surface",
+    "exit_code": ".surface",
+    "http_status": ".surface",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

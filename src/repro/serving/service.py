@@ -440,10 +440,15 @@ class PredictionService:
                 f"query must be an indicator vector or an item-index set:"
                 f" {exc}"
             ) from exc
-        for item in items:
-            # bool is an int subclass, but a set of flags is no item set.
-            if isinstance(item, bool) or not isinstance(item, (int, np.integer)):
-                raise self._reject(f"query item id {item!r} is not an integer")
+        # One C-level pass clears the common all-``int`` query; anything else
+        # (numpy integers, bools, floats) is checked item by item.
+        if not set(map(type, items)) <= {int}:
+            for item in items:
+                # bool is an int subclass, but a set of flags is no item set.
+                if isinstance(item, bool) or not isinstance(
+                    item, (int, np.integer)
+                ):
+                    raise self._reject(f"query item id {item!r} is not an integer")
         if (
             n_items is not None
             and items

@@ -458,6 +458,16 @@ class TestQueryValidation:
         assert counters.get("service_batch_errors") == 0
         assert counters.get("service_poison_queries") == 0
 
+    def test_bool_item_ids_rejected(self, evaluator):
+        """``bool`` is an ``int`` subclass but not an item id, alone or
+        mixed into an otherwise all-``int`` query."""
+        counters = EngineCounters()
+        with make_service(evaluator, counters=counters) as service:
+            for query in ([0, True], {False}, [3, 4, np.bool_(True)]):
+                with pytest.raises(QueryError, match="not an integer"):
+                    service.classification_values(query)
+        assert counters.get("service_query_rejects") == 3
+
     def test_item_index_set_accepted(self, evaluator):
         with make_service(evaluator, counters=EngineCounters()) as service:
             values = service.classification_values({0, 3, 4})

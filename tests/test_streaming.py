@@ -23,7 +23,7 @@ from repro.core.classifier import BSTClassifier
 from repro.core.estimator import NotFittedError
 from repro.core.fast import FastBSTCEvaluator, clear_evaluator_cache, get_evaluator
 from repro.core.plan import ARENA_FIELDS, recompile_delta
-from repro.datasets import discretize
+from repro.datasets import discretize, io
 from repro.datasets.dataset import (
     DatasetError,
     ExpressionMatrix,
@@ -133,6 +133,47 @@ class TestChunkedIngestion:
         path.write_text(f"sample\tclass\tg0\tg1\ns1\ta\t1.0\t{bad}\n")
         with pytest.raises(DatasetError, match=r"nonfinite\.tsv:2: gene g1"):
             list(iter_expression_tsv(path, chunk_rows=4))
+
+
+class TestBlockParser:
+    """Well-formed blocks are parsed by ``np.loadtxt`` alone; the per-value
+    row parser runs only on a block that needs it."""
+
+    @pytest.fixture
+    def row_calls(self, monkeypatch):
+        calls = []
+        reference = io._parse_tsv_row
+
+        def counted(*args):
+            calls.append(args[1])
+            return reference(*args)
+
+        monkeypatch.setattr(io, "_parse_tsv_row", counted)
+        return calls
+
+    @pytest.mark.parametrize("chunk_rows", [None, 1, 3, 100])
+    def test_well_formed_file_skips_row_parser(self, tmp_path, row_calls,
+                                               chunk_rows):
+        path = tmp_path / "data.tsv"
+        save_expression_tsv(_expression(n_samples=20, n_genes=30), path)
+        load_expression_tsv(path, chunk_rows=chunk_rows)
+        list(iter_expression_tsv(path, chunk_rows=chunk_rows or 4))
+        assert row_calls == []
+
+    def test_fallback_reparses_only_its_block(self, tmp_path, row_calls):
+        """``1_000`` is a float to Python but not to numpy: its block is
+        re-parsed row by row, with Python's value; other blocks are not."""
+        path = tmp_path / "underscore.tsv"
+        path.write_text(
+            "sample\tclass\tg0\n"
+            "s1\ta\t1\ns2\ta\t2\ns3\tb\t1_000\ns4\tb\t4\ns5\ta\t5\n"
+        )
+        chunks = list(iter_expression_tsv(path, chunk_rows=2))
+        assert row_calls == [4, 5]
+        merged = concat_expression_chunks(chunks)
+        assert merged.values[:, 0].tolist() == [1.0, 2.0, 1000.0, 4.0, 5.0]
+        assert merged.class_names == ("a", "b")
+        assert merged.labels == (0, 0, 1, 1, 0)
 
 
 TALL_GENES = 70
